@@ -3,11 +3,9 @@
 extract the relevant set for a name query, cluster it collectively, and
 print the answer groups at a sweep of merge thresholds."""
 
-from dataclasses import replace
-
 from qer.corpus import Query, ingest
-from qer.expansion import ExpansionParams, build_relevant_set
-from qer.rcer import partition_at_threshold, run_rcer
+from qer.expansion import ExpansionParams
+from qer.rcer import resolve
 from qer.similarity import SimilarityConfig
 
 RECORDS = [
@@ -28,20 +26,15 @@ def main() -> int:
     ds = ingest(RECORDS)
     cfg = SimilarityConfig(alpha=0.5, epsilon=0.98, delta=0.9,
                            merge_threshold=0.0)
-    rset = build_relevant_set(ds, Query(value="W. Wang"),
-                              ExpansionParams(d_star=3, delta=cfg.delta))
+    answer = resolve(ds, Query(value="W. Wang"),
+                     ExpansionParams(d_star=3, delta=cfg.delta), cfg)
     print("relevant set by level:")
-    for d, level in enumerate(rset.levels):
+    for d, level in enumerate(answer.rset.levels):
         print(f"  level {d}: {sorted(level)}")
-    result = run_rcer(ds, sorted(rset.union), replace(cfg, merge_threshold=0.0))
-    scope = rset.levels[0]
     print("answer groups by merge threshold:")
     for i in range(0, 21, 2):
         t = i / 20
-        groups = sorted(sorted(c & scope)
-                        for c in partition_at_threshold(result, t)
-                        if c & scope)
-        print(f"  t={t:.2f}: {groups}")
+        print(f"  t={t:.2f}: {answer.groups(t)}")
     return 0
 
 

@@ -31,7 +31,7 @@ def main() -> int:
                                  n_relationships=target // 5,
                                  n_hyperedges=target // 2,
                                  p_a=0.3, p_c=0.5, seed=args.seed))
-        refs = sorted(out.dataset.references)
+        refs = out.dataset.references
         t0 = time.perf_counter()
         run_rcer(out.dataset, refs, cfg)
         elapsed = time.perf_counter() - t0

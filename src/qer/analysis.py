@@ -27,13 +27,6 @@ class StructuralProbs:
     neighbor_weights: dict[str, dict[str, float]] = field(default_factory=dict)
 
 
-@dataclass
-class ModelPrediction:
-    recall: dict[str, float]
-    imprecision: dict[tuple[str, str], float]
-    depth: int
-
-
 def _pair_key(e1: str, e2: str) -> tuple[str, str]:
     return (e1, e2) if e1 <= e2 else (e2, e1)
 
@@ -70,21 +63,13 @@ def estimate_attribute_probs(ds: Dataset, gold: GoldLabeling,
     return a_i, a_a
 
 
-def _cooccurring_pairs(ds: Dataset, rid: str):
-    """(hyper-edge id, partner reference id) incidences of a reference."""
-    for hid in ds.references[rid].hyperedges:
-        for other in ds.hyperedges[hid].refs:
-            if other != rid:
-                yield hid, other
-
-
 def _has_identifying_witness(ds: Dataset, gold: GoldLabeling,
                              ctx: SimilarityContext, r1: str, r2: str) -> bool:
     """Some co-occurring partners of r1 and r2 are themselves a
     liberal-similar same-entity pair (distinct from r1, r2)."""
-    for h1, p1 in _cooccurring_pairs(ds, r1):
+    for h1, p1 in ds.cooccurrences(r1):
         n1 = ds.references[p1].norm_name
-        for h2, p2 in _cooccurring_pairs(ds, r2):
+        for h2, p2 in ds.cooccurrences(r2):
             if p1 == p2 and h1 == h2:
                 continue
             if gold.entity_of(p1) != gold.entity_of(p2):
@@ -98,9 +83,9 @@ def _has_ambiguous_witness(ds: Dataset, gold: GoldLabeling,
                            ctx: SimilarityContext, r1: str, r2: str) -> bool:
     """Like the identifying witness, but the partner pair belongs to two
     different entities while still looking liberal-similar."""
-    for h1, p1 in _cooccurring_pairs(ds, r1):
+    for h1, p1 in ds.cooccurrences(r1):
         n1 = ds.references[p1].norm_name
-        for h2, p2 in _cooccurring_pairs(ds, r2):
+        for h2, p2 in ds.cooccurrences(r2):
             if gold.entity_of(p1) == gold.entity_of(p2):
                 continue
             if ctx.delta_similar(n1, ds.references[p2].norm_name):
@@ -147,7 +132,7 @@ def estimate_neighbor_weights(ds: Dataset, gold: GoldLabeling
     counts: dict[str, Counter] = defaultdict(Counter)
     for rid in ds.references:
         e = gold.entity_of(rid)
-        for _, other in _cooccurring_pairs(ds, rid):
+        for _, other in ds.cooccurrences(rid):
             counts[e][gold.entity_of(other)] += 1
     out: dict[str, dict[str, float]] = {}
     for e, c in counts.items():

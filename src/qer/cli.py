@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from dataclasses import replace
 
 from . import analysis, corpus, evalkit, expansion, rcer, similarity, synthgen
@@ -71,42 +70,33 @@ def cmd_query(args) -> int:
         d_star=args.depth, delta=cfg.delta,
         h_max=args.h_max, a_max=args.a_max,
         adaptive_depth=args.adaptive_depth)
-    t0 = time.perf_counter()
-    rset = expansion.build_relevant_set(ds, corpus.Query(value=value), params)
-    t_extract = time.perf_counter() - t0
-    if not rset.answerable:
+    sweep = bool(args.sweep and args.gold)
+    if sweep:
+        threshold = 0.0
+    elif args.threshold is not None:
+        threshold = args.threshold
+    else:
+        threshold = cfg.merge_threshold
+    answer = rcer.resolve(ds, corpus.Query(value=value), params,
+                          replace(cfg, merge_threshold=threshold))
+    if not answer.rset.answerable:
         print("empty answer: no reference matches the query value")
         return 0
-    t0 = time.perf_counter()
-    if args.sweep and args.gold:
+    metrics = None
+    if sweep:
         gold = corpus.load_gold(args.gold)
-        result = rcer.run_rcer(ds, sorted(rset.union),
-                               replace(cfg, merge_threshold=0.0))
-        best = None
-        for t in SWEEP:
-            part = rcer.partition_at_threshold(result, t)
-            m = evalkit.pairwise_metrics(part, gold, rset.levels[0])
-            if best is None or m.f1 > best[1].f1:
-                best = (t, m, part)
-        threshold, metrics, partition = best
-    else:
-        threshold = args.threshold if args.threshold is not None \
-            else cfg.merge_threshold
-        result = rcer.run_rcer(ds, sorted(rset.union),
-                               replace(cfg, merge_threshold=threshold))
-        partition = result.as_partition()
-        metrics = None
-    t_resolve = time.perf_counter() - t0
-    answer_scope = rset.levels[0]
-    groups = [sorted(c & answer_scope) for c in partition if c & answer_scope]
+        threshold, metrics = evalkit.best_f1_over_thresholds(
+            lambda t: evalkit.pairwise_metrics(answer.groups(t), gold,
+                                               answer.rset.levels[0]),
+            SWEEP)
+    groups = answer.groups(threshold if sweep else None)
     if args.ref_id:
         groups = [g for g in groups if args.ref_id in g]
-    groups.sort()
     extra = {
-        "levels": [len(lv) for lv in rset.levels],
+        "levels": [len(lv) for lv in answer.rset.levels],
         "threshold": threshold,
-        "extraction_seconds": round(t_extract, 4),
-        "resolution_seconds": round(t_resolve, 4),
+        "extraction_seconds": round(answer.extract_seconds, 4),
+        "resolution_seconds": round(answer.resolve_seconds, 4),
     }
     if metrics:
         extra["f1"] = round(metrics.f1, 4)

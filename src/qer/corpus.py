@@ -8,6 +8,7 @@ read-only; all query machinery works against its indexes.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -90,7 +91,6 @@ class Dataset:
         self.hyperedges: dict[str, HyperEdge] = {h.id: h for h in hyperedges}
         self.name_mode = name_mode
         self.name_index: dict[str, set[str]] = {}
-        self.block_index: dict[tuple[str, str], set[str]] = {}
         self._numeric_values: dict[str, float] = {}
         self._build_indexes()
         self._check_invariants()
@@ -100,11 +100,7 @@ class Dataset:
             norm = r.norm_name
             self.name_index.setdefault(norm, set()).add(r.id)
             if self.name_mode == "numeric":
-                key = (norm, "")
-                self._numeric_values[r.id] = float(norm)
-            else:
-                key = blocking_key(norm)
-            self.block_index.setdefault(key, set()).add(r.id)
+                self._numeric_values[r.id] = _finite_number(norm, r)
         if self.name_mode == "numeric":
             self.sorted_numeric = sorted(
                 (float(n), n) for n in self.name_index
@@ -132,6 +128,14 @@ class Dataset:
                         f"reference {rid}"
                     )
 
+    def cooccurrences(self, rid: str):
+        """(hyper-edge id, partner reference id) for each other reference
+        on each of the reference's hyper-edges."""
+        for hid in self.references[rid].hyperedges:
+            for other in self.hyperedges[hid].refs:
+                if other != rid:
+                    yield hid, other
+
     def numeric_value(self, ref_id: str) -> float:
         return self._numeric_values[ref_id]
 
@@ -139,11 +143,20 @@ class Dataset:
         return len(self.references)
 
 
+def _finite_number(norm_name: str, ref: Reference) -> float:
+    try:
+        x = float(norm_name)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise IngestError(f"reference {ref.id}: numeric name {ref.name!r} "
+                          "is not a finite number")
+    return x
+
+
 @dataclass
 class Query:
     value: str
-    attribute: str = "name"
-    params: "object | None" = None  # ExpansionParams; kept loose to avoid cycle
 
     def __post_init__(self):
         if not self.value:
@@ -233,24 +246,6 @@ def ingest_file(path, name_mode: str = "text") -> Dataset:
     return ingest(gen(), name_mode=name_mode)
 
 
-def lookup_name(ds: Dataset, name: str) -> set[Reference]:
-    """All references whose normalized name equals the normalized input."""
-    ids = ds.name_index.get(normalize_name(name), set())
-    return {ds.references[i] for i in ids}
-
-
-def cooccurring(ds: Dataset, ref: Reference) -> set[Reference]:
-    """References sharing a hyper-edge with ``ref``, excluding ``ref``."""
-    if ref.id not in ds.references:
-        raise KeyError(f"unknown reference {ref.id}")
-    out = set()
-    for hid in ref.hyperedges:
-        for rid in ds.hyperedges[hid].refs:
-            if rid != ref.id:
-                out.add(ds.references[rid])
-    return out
-
-
 SNAPSHOT_HEADER = "qer-dataset-v1"
 
 
@@ -276,30 +271,68 @@ def save_snapshot(ds: Dataset, path):
         json.dump(payload, f)
 
 
+def _field(obj, key: str, kind: type, where: str, default=None):
+    """``obj[key]``, checked to be a ``kind``; ``default`` stands in for a
+    missing optional key (a key without a default is required)."""
+    if not isinstance(obj, dict):
+        raise IngestError(f"snapshot {where}: not a mapping")
+    if key not in obj and default is not None:
+        return default
+    value = obj.get(key)
+    if not isinstance(value, kind):
+        raise IngestError(f"snapshot {where}: {key!r} missing or not "
+                          f"a {kind.__name__}")
+    return value
+
+
+def _strings(obj, key: str, kind: type, where: str, default=None):
+    """A list of strings, or a mapping to strings, at ``obj[key]``."""
+    value = _field(obj, key, kind, where, default)
+    items = value.values() if isinstance(value, dict) else value
+    if not all(isinstance(v, str) for v in items):
+        raise IngestError(f"snapshot {where}: {key!r} holds a non-string")
+    return value
+
+
 def load_snapshot(path) -> Dataset:
     with open(path) as f:
         header = f.readline().strip()
         if header != SNAPSHOT_HEADER:
             raise IngestError(f"unrecognized snapshot header {header!r}")
-        payload = json.load(f)
+        try:
+            payload = json.load(f)
+        except json.JSONDecodeError as e:
+            raise IngestError(f"snapshot {path}: invalid JSON: {e}") from e
+    name_mode = _field(payload, "name_mode", str, "payload", "text")
+    if name_mode not in ("text", "numeric"):
+        raise IngestError(f"snapshot payload: unknown name_mode {name_mode!r}")
     refs = [
         Reference(
-            id=r["id"],
-            name=r["name"],
-            extra_attrs=r.get("extra_attrs", {}),
-            hyperedges=set(r.get("hyperedges", [])),
+            id=_field(r, "id", str, f"reference {i}"),
+            name=_field(r, "name", str, f"reference {i}"),
+            extra_attrs=dict(_strings(r, "extra_attrs", dict,
+                                      f"reference {i}", {})),
+            hyperedges=set(_strings(r, "hyperedges", list,
+                                    f"reference {i}", [])),
         )
-        for r in payload["references"]
+        for i, r in enumerate(_field(payload, "references", list, "payload"))
     ]
     edges = [
         HyperEdge(
-            id=h["id"],
-            refs=tuple(h["refs"]),
-            extra_attrs=h.get("extra_attrs", {}),
+            id=_field(h, "id", str, f"hyper-edge {i}"),
+            refs=tuple(_strings(h, "refs", list, f"hyper-edge {i}")),
+            extra_attrs=dict(_strings(h, "extra_attrs", dict,
+                                      f"hyper-edge {i}", {})),
         )
-        for h in payload["hyperedges"]
+        for i, h in enumerate(_field(payload, "hyperedges", list, "payload"))
     ]
-    return Dataset(refs, edges, name_mode=payload.get("name_mode", "text"))
+    for kind, items in (("reference", refs), ("hyper-edge", edges)):
+        seen: set[str] = set()
+        for x in items:
+            if x.id in seen:
+                raise IngestError(f"snapshot: duplicate {kind} id {x.id!r}")
+            seen.add(x.id)
+    return Dataset(refs, edges, name_mode=name_mode)
 
 
 def save_gold(gold: GoldLabeling, path):

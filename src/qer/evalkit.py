@@ -8,15 +8,12 @@ closure of the accepted pairs first.
 
 from __future__ import annotations
 
-import math
 import statistics
 from dataclasses import dataclass, field, replace
-from itertools import combinations
 
-from .corpus import Dataset, GoldLabeling
-from .expansion import AmbiguityEstimator, ExpansionParams, build_relevant_set
-from .corpus import Query
-from .rcer import block_candidates, partition_at_threshold, run_rcer
+from .corpus import Dataset, GoldLabeling, Query
+from .expansion import AmbiguityEstimator, ExpansionParams
+from .rcer import block_candidates, partition_at_threshold, resolve, run_rcer
 from .similarity import SimilarityConfig, SimilarityContext
 from . import synthgen
 
@@ -139,12 +136,8 @@ def _nr_relational_term(ds: Dataset, ctx: SimilarityContext,
     """Best-match (greedy one-to-one) average name similarity between the
     two references' co-occurring reference sets."""
     def conames(rid: str) -> list[str]:
-        out = []
-        for hid in ds.references[rid].hyperedges:
-            for other in ds.hyperedges[hid].refs:
-                if other != rid:
-                    out.append(ds.references[other].norm_name)
-        return out
+        return [ds.references[other].norm_name
+                for _, other in ds.cooccurrences(rid)]
 
     n1, n2 = conames(r1), conames(r2)
     if not n1 or not n2:
@@ -216,7 +209,7 @@ def rcer_threshold_sweep(ds: Dataset, refs, cfg: SimilarityConfig,
                          **rcer_kwargs):
     """One unthresholded clustering run replayed at each threshold."""
     scope = {r if isinstance(r, str) else r.id for r in refs}
-    result = run_rcer(ds, sorted(scope), replace(cfg, merge_threshold=0.0),
+    result = run_rcer(ds, scope, replace(cfg, merge_threshold=0.0),
                       ctx=ctx, **rcer_kwargs)
     out = {}
     for t in thresholds:
@@ -306,28 +299,8 @@ def query_level_sweep(ds: Dataset, value: str, cfg: SimilarityConfig,
                       ) -> dict[float, PairwiseMetrics]:
     """Resolve one query at the given expansion depth; score the answer
     (the level-0 references) at each threshold."""
-    rset = build_relevant_set(ds, Query(value=value),
-                              ExpansionParams(d_star=depth, delta=cfg.delta))
-    scope = rset.levels[0]
-    result = run_rcer(ds, sorted(rset.union), replace(cfg, merge_threshold=0.0))
-    return {t: pairwise_metrics(partition_at_threshold(result, t), gold, scope)
+    answer = resolve(ds, Query(value=value),
+                     ExpansionParams(d_star=depth, delta=cfg.delta),
+                     replace(cfg, merge_threshold=0.0))
+    return {t: pairwise_metrics(answer.groups(t), gold, answer.rset.levels[0])
             for t in thresholds}
-
-
-def evaluate_query(ds: Dataset, value: str, cfg: SimilarityConfig,
-                   gold: GoldLabeling, params: ExpansionParams,
-                   thresholds) -> PairwiseMetrics:
-    """Resolve one query at the given expansion depth and score the answer
-    (the level-0 references) at the best-F1 threshold."""
-    rset = build_relevant_set(ds, Query(value=value), params)
-    if not rset.answerable:
-        return _metrics_from_counts(0, 0, 0)
-    scope = rset.levels[0]
-    result = run_rcer(ds, sorted(rset.union), replace(cfg, merge_threshold=0.0))
-    best = None
-    for t in thresholds:
-        part = partition_at_threshold(result, t)
-        m = pairwise_metrics(part, gold, scope)
-        if best is None or m.f1 > best.f1:
-            best = m
-    return best

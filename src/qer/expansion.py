@@ -46,12 +46,6 @@ class RelevantSet:
             out |= lv
         return out
 
-    def dump(self) -> str:
-        lines = []
-        for i, lv in enumerate(self.levels):
-            lines.append(f"level {i} ({len(lv)}): " + " ".join(sorted(lv)))
-        return "\n".join(lines)
-
 
 def _ids(ds: Dataset, refs) -> set[str]:
     return {r.id if isinstance(r, Reference) else r for r in refs}
@@ -82,11 +76,7 @@ def x_a(ds: Dataset, value: str, delta: float = 0.0) -> set[str]:
 def x_h(ds: Dataset, refs) -> set[str]:
     """References co-occurring with the input set, the input set excluded."""
     ids = _ids(ds, refs)
-    out: set[str] = set()
-    for rid in ids:
-        for hid in ds.references[rid].hyperedges:
-            out.update(ds.hyperedges[hid].refs)
-    return out - ids
+    return {other for rid in ids for _, other in ds.cooccurrences(rid)} - ids
 
 
 def x_a_exact(ds: Dataset, refs) -> set[str]:
@@ -144,10 +134,6 @@ class AmbiguityEstimator:
         return len(self.initials_by_last.get(ln, set()))
 
 
-def estimate_ambiguity(est: AmbiguityEstimator, value: str) -> float:
-    return est.estimate(value)
-
-
 def adaptive_depth(est: AmbiguityEstimator, query: Query,
                    params: ExpansionParams) -> int:
     """Depth 1 suffices for query names whose last name shows few distinct
@@ -199,7 +185,7 @@ def build_relevant_set(ds: Dataset, q: Query,
     first-discovered level.
     """
     if params is None:
-        params = q.params if isinstance(q.params, ExpansionParams) else ExpansionParams()
+        params = ExpansionParams()
     adaptive = params.h_max is not None or params.a_max is not None \
         or params.adaptive_depth
     if adaptive and est is None:

@@ -5,21 +5,25 @@ extracts the most similar candidate cluster pair from a priority queue,
 merges it, and refreshes the queued similarities of every pair whose
 relational evidence the merge changed.  Candidate pairs come from cheap
 blocking; the loop stops when the best remaining similarity drops below the
-merge threshold.
+merge threshold.  ``resolve`` answers a name query: it expands the query's
+relevant set, clusters it and projects the clusters onto level 0.
 """
 
 from __future__ import annotations
 
 import heapq
+import time
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .corpus import Dataset, Reference, blocking_key
+from .corpus import Dataset, Query, Reference, blocking_key
+from .expansion import ExpansionParams, RelevantSet, build_relevant_set
 from .similarity import (
     NUMERIC_RANGE,
     SimilarityConfig,
     SimilarityContext,
     jaccard,
+    representative,
 )
 
 
@@ -88,13 +92,18 @@ class RcerResult:
     labels: dict[str, int]
     merge_log: list[tuple]  # (sim, c1, c2, new_id)
     stopped_reason: str
+    merge_threshold: float  # the log is complete down to this similarity
     initial_clusters: list[tuple] = field(default_factory=list)  # (id, members)
 
     def as_partition(self) -> list[set[str]]:
         return [set(c) for c in self.clusters]
 
 
-class _State:
+class ClusterState:
+    """The merge loop's clusters: members, hyper-edges, per-attribute
+    representatives and neighbor-label counters, kept up to date by
+    ``merge``.  Cluster ids count up from 0 in the order of ``initial``."""
+
     def __init__(self, ds: Dataset, ctx: SimilarityContext,
                  initial: list[list[str]]):
         self.ds = ds
@@ -128,19 +137,14 @@ class _State:
                 values = [self.ds.references[r].extra_attrs.get(attr)
                           for r in self.members[cid]]
                 values = [v for v in values if v]
-            if not values:
-                reps[attr] = None
-                continue
-            counts = Counter(values)
-            top = max(counts.values())
-            tied = [v for v, c in counts.items() if c == top]
-            if self.ctx.numeric and attr == "name":
-                reps[attr] = min(tied, key=float)
-            else:
-                reps[attr] = min(tied)
+            reps[attr] = representative(
+                values, numeric=self.ctx.numeric and attr == "name"
+            ) if values else None
         return reps
 
     def _compute_nbr(self, cid: int) -> Counter:
+        """Labels of the references on the cluster's hyper-edges, its own
+        label excluded, counted once per edge."""
         counts: Counter = Counter()
         for hid in self.edges[cid]:
             for rid in self.ds.hyperedges[hid].refs:
@@ -149,20 +153,6 @@ class _State:
                     counts[lab] += 1
         return counts
 
-    def attr_sim(self, c1: int, c2: int) -> float:
-        score = 0.0
-        for attr, w in self.ctx.cfg.attr_weights.items():
-            if w == 0:
-                continue
-            v1, v2 = self.reps[c1].get(attr), self.reps[c2].get(attr)
-            if v1 is None or v2 is None:
-                continue
-            if attr == "name":
-                score += w * self.ctx.name_sim(v1, v2)
-            else:
-                score += w * self.ctx._text_attr_sim(v1, v2)
-        return score
-
     def rel_sim(self, c1: int, c2: int) -> float:
         if self.ctx.cfg.multiset_neighborhood:
             return jaccard(self.nbr[c1], self.nbr[c2])
@@ -170,7 +160,8 @@ class _State:
 
     def combined(self, c1: int, c2: int) -> float:
         alpha = self.ctx.cfg.alpha
-        a = self.attr_sim(c1, c2) if alpha < 1.0 else 0.0
+        a = self.ctx.attribute_sim(self.reps[c1], self.reps[c2]) \
+            if alpha < 1.0 else 0.0
         r = self.rel_sim(c1, c2) if alpha > 0.0 else 0.0
         return (1 - alpha) * a + alpha * r
 
@@ -203,18 +194,21 @@ def run_rcer(ds: Dataset, refs, cfg: SimilarityConfig,
              ambiguity=None, ambiguity_cutoff: float = 0.0) -> RcerResult:
     """Cluster the given references; see the module docstring.
 
-    The merge log records (similarity at extraction, cluster 1, cluster 2,
-    merged id) in execution order, which lets a threshold sweep replay one
-    unthresholded run instead of re-clustering per threshold.
+    The references are taken in sorted id order, so cluster ids, and with
+    them the tie-breaks between equal scores, do not depend on the order
+    (or hash order) of ``refs``.  The merge log records (similarity at
+    extraction, cluster 1, cluster 2, merged id) in execution order, which
+    lets a threshold sweep replay one run recorded at a low threshold
+    instead of re-clustering per threshold.
     """
-    ref_ids = [r.id if isinstance(r, Reference) else r for r in refs]
+    ref_ids = sorted(r.id if isinstance(r, Reference) else r for r in refs)
     if not ref_ids:
         raise ValueError("no references to cluster")
     if ctx is None:
         ctx = SimilarityContext(ds, cfg)
     initial = bootstrap(ds, ref_ids, mode=bootstrap_mode,
                         ambiguity=ambiguity, ambiguity_cutoff=ambiguity_cutoff)
-    state = _State(ds, ctx, initial)
+    state = ClusterState(ds, ctx, initial)
     initial_snapshot = [(cid, tuple(sorted(state.members[cid])))
                         for cid in sorted(state.members)]
 
@@ -276,18 +270,57 @@ def run_rcer(ds: Dataset, refs, cfg: SimilarityConfig,
         labels=dict(state.labels),
         merge_log=merge_log,
         stopped_reason=stopped_reason,
+        merge_threshold=cfg.merge_threshold,
         initial_clusters=initial_snapshot,
     )
 
 
 def partition_at_threshold(result: RcerResult, threshold: float) -> list[set[str]]:
-    """Replay a merge log recorded with merge_threshold = -inf, stopping at
-    the first merge whose extraction similarity falls below ``threshold``.
-    Equivalent to a fresh run at that threshold, since the threshold only
-    controls when the loop stops."""
+    """Replay the merge log, stopping at the first merge whose extraction
+    similarity falls below ``threshold``.  Equivalent to a fresh run at that
+    threshold, since the threshold only controls when the loop stops; a
+    threshold below the one the log was recorded at would need merges the
+    log does not hold, so it raises ``ValueError``."""
+    if threshold < result.merge_threshold:
+        raise ValueError(
+            f"cannot replay at threshold {threshold}: the merge log was "
+            f"recorded at {result.merge_threshold}")
     members = {cid: set(m) for cid, m in result.initial_clusters}
     for sim, c1, c2, new in result.merge_log:
         if sim < threshold:
             break
         members[new] = members.pop(c1) | members.pop(c2)
     return list(members.values())
+
+
+@dataclass
+class Answer:
+    """A resolved query: its relevant set, the clustering of that set
+    (None when nothing matches the query) and the time of each stage."""
+
+    rset: RelevantSet
+    result: RcerResult | None
+    extract_seconds: float
+    resolve_seconds: float
+
+    def groups(self, threshold: float | None = None) -> list[list[str]]:
+        """The clusters' level-0 parts, sorted; with a threshold, the
+        clusters come from replaying the merge log at it."""
+        if self.result is None:
+            return []
+        clusters = self.result.clusters if threshold is None \
+            else partition_at_threshold(self.result, threshold)
+        level0 = self.rset.levels[0]
+        return sorted(sorted(c & level0) for c in clusters if c & level0)
+
+
+def resolve(ds: Dataset, query: Query, params: ExpansionParams,
+            cfg: SimilarityConfig, **rcer_kwargs) -> Answer:
+    """Expand the query's relevant set and cluster it at
+    ``cfg.merge_threshold``; ``rcer_kwargs`` go to ``run_rcer``."""
+    t0 = time.perf_counter()
+    rset = build_relevant_set(ds, query, params)
+    t1 = time.perf_counter()
+    result = run_rcer(ds, rset.union, cfg, **rcer_kwargs) \
+        if rset.answerable else None
+    return Answer(rset, result, t1 - t0, time.perf_counter() - t1)

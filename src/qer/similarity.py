@@ -1,13 +1,16 @@
-"""Attribute and relational similarity measures.
+"""Attribute similarity measures and the helpers cluster similarity uses.
 
 Names are compared with Soft TF-IDF over Jaro-Winkler token matches; the
 synthetic numeric attribute uses a range-scaled absolute difference.  The
-combined cluster similarity is the weighted blend
+liberal (delta) test picks candidate pairs and the conservative (epsilon)
+test accepts reference pairs.  ``SimilarityContext.attribute_sim`` scores
+two attribute-value mappings under the configured weights; ``representative``
+and ``jaccard`` give a cluster's attribute values and its neighborhood
+overlap.  The combined cluster similarity
 
-    sim(c1, c2) = (1 - alpha) * attribute_sim + alpha * relational_sim
+    sim(c1, c2) = (1 - alpha) * attribute + alpha * relational
 
-where relational similarity is the Jaccard overlap of the clusters'
-neighborhood label sets.
+is computed by the merge loop's ``rcer.ClusterState``.
 """
 
 from __future__ import annotations
@@ -218,21 +221,32 @@ class SimilarityContext:
         return delta_similar_names(n1, n2, numeric=self.numeric,
                                    delta=self.cfg.delta)
 
-    def ref_attribute_sim(self, rid1: str, rid2: str) -> float:
-        r1 = self.ds.references[rid1]
-        r2 = self.ds.references[rid2]
+    def attribute_sim(self, values1, values2) -> float:
+        """Weighted similarity of two attribute -> value mappings (one per
+        reference or cluster representative); an attribute whose value is
+        missing or None on either side contributes 0."""
         score = 0.0
         for attr, w in self.cfg.attr_weights.items():
             if w == 0:
                 continue
+            v1, v2 = values1.get(attr), values2.get(attr)
+            if v1 is None or v2 is None:
+                continue
             if attr == "name":
-                score += w * self.name_sim(r1.norm_name, r2.norm_name)
+                score += w * self.name_sim(v1, v2)
             else:
-                v1 = r1.extra_attrs.get(attr)
-                v2 = r2.extra_attrs.get(attr)
-                if v1 and v2:
-                    score += w * self._text_attr_sim(v1, v2)
+                score += w * self._text_attr_sim(v1, v2)
         return score
+
+    def _ref_values(self, rid: str) -> dict[str, str | None]:
+        r = self.ds.references[rid]
+        return {attr: r.norm_name if attr == "name"
+                else r.extra_attrs.get(attr) or None
+                for attr in self.cfg.attr_weights}
+
+    def ref_attribute_sim(self, rid1: str, rid2: str) -> float:
+        return self.attribute_sim(self._ref_values(rid1),
+                                  self._ref_values(rid2))
 
     def _text_attr_sim(self, v1: str, v2: str) -> float:
         t1 = normalize_name(v1).split()
@@ -262,65 +276,6 @@ def representative(values, numeric: bool = False) -> str:
     return min(tied, key=float) if numeric else min(tied)
 
 
-def _cluster_rep(ctx: SimilarityContext, member_ids, attr: str) -> str | None:
-    if attr == "name":
-        values = [ctx.ds.references[r].norm_name for r in member_ids]
-    else:
-        values = [ctx.ds.references[r].extra_attrs.get(attr) for r in member_ids]
-        values = [v for v in values if v]
-        if not values:
-            return None
-    counts = Counter(values)
-    top = max(counts.values())
-    tied = [v for v, c in counts.items() if c == top]
-    if ctx.numeric and attr == "name":
-        return min(tied, key=float)
-    return min(tied)
-
-
-def attribute_sim(ctx: SimilarityContext, members1, members2) -> float:
-    """Weighted attribute similarity between two clusters of reference ids,
-    compared through per-attribute representative values."""
-    score = 0.0
-    for attr, w in ctx.cfg.attr_weights.items():
-        if w == 0:
-            continue
-        v1 = _cluster_rep(ctx, members1, attr)
-        v2 = _cluster_rep(ctx, members2, attr)
-        if v1 is None or v2 is None:
-            continue
-        if attr == "name":
-            score += w * ctx.name_sim(v1, v2)
-        else:
-            score += w * ctx._text_attr_sim(v1, v2)
-    return score
-
-
-def hyperedge_set(ds: Dataset, member_ids) -> set[str]:
-    """Union of hyper-edge ids over the cluster's member references."""
-    out: set[str] = set()
-    for rid in member_ids:
-        out |= ds.references[rid].hyperedges
-    return out
-
-
-def neighborhood(ds: Dataset, member_ids, labels: dict[str, object],
-                 own_label=None, multiset: bool = False):
-    """Cluster labels of the references spanned by the cluster's hyper-edges,
-    excluding the cluster's own label.
-
-    References without an entry in ``labels`` (outside the clustering scope)
-    are ignored.  Returns a set, or a Counter when ``multiset``.
-    """
-    counts: Counter = Counter()
-    for hid in hyperedge_set(ds, member_ids):
-        for rid in ds.hyperedges[hid].refs:
-            lab = labels.get(rid)
-            if lab is not None and lab != own_label:
-                counts[lab] += 1
-    return counts if multiset else set(counts)
-
-
 def jaccard(a, b) -> float:
     """Jaccard overlap for sets or Counters; empty-vs-empty is 0."""
     if isinstance(a, Counter) or isinstance(b, Counter):
@@ -332,26 +287,6 @@ def jaccard(a, b) -> float:
         inter = len(a & b)
         union = len(a | b)
     return inter / union if union else 0.0
-
-
-def relational_sim(ds: Dataset, members1, members2, labels,
-                   label1=None, label2=None, multiset: bool = False) -> float:
-    n1 = neighborhood(ds, members1, labels, own_label=label1, multiset=multiset)
-    n2 = neighborhood(ds, members2, labels, own_label=label2, multiset=multiset)
-    return jaccard(n1, n2)
-
-
-def combined_sim(ctx: SimilarityContext, members1, members2, labels,
-                 label1=None, label2=None) -> float:
-    a = attribute_sim(ctx, members1, members2)
-    r = relational_sim(ctx.ds, members1, members2, labels,
-                       label1=label1, label2=label2,
-                       multiset=ctx.cfg.multiset_neighborhood)
-    return (1 - ctx.cfg.alpha) * a + ctx.cfg.alpha * r
-
-
-def combine(alpha: float, attr: float, rel: float) -> float:
-    return (1 - alpha) * attr + alpha * rel
 
 
 def load_config(path) -> SimilarityConfig:

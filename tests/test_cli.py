@@ -123,3 +123,19 @@ def test_analyze_table(records_file, gold_file, capsys):
 
 def test_missing_records_file(capsys):
     assert main(["ingest", "/nonexistent/records.jsonl"]) == 2
+
+
+def test_ingest_numeric_rejects_non_numeric_name(tmp_path, capsys):
+    path = tmp_path / "records.jsonl"
+    path.write_text(json.dumps({"pub_id": "p", "authors": [
+        {"id": "x1", "name": "1.5"}, {"id": "x2", "name": "nan"}]}) + "\n")
+    assert main(["ingest", str(path), "--name-mode", "numeric"]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "x2" in err
+
+
+def test_query_malformed_snapshot(tmp_path, capsys):
+    snap = tmp_path / "ds.json"
+    snap.write_text(corpus.SNAPSHOT_HEADER + "\n{}")
+    assert main(["query", "W. Wang", "--dataset", str(snap)]) == 2
+    assert "error:" in capsys.readouterr().err

@@ -1,18 +1,19 @@
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
 from qer.corpus import (
     GoldLabeling,
     IngestError,
+    SNAPSHOT_HEADER,
     Query,
     blocking_key,
-    cooccurring,
     first_initial,
     ingest,
     last_name,
     load_gold,
     load_snapshot,
-    lookup_name,
     normalize_name,
     save_gold,
     save_snapshot,
@@ -74,16 +75,16 @@ def test_string_authors_get_slot_ids():
 
 
 def test_lookup_name(corpus_ds):
-    assert {r.id for r in lookup_name(corpus_ds, "W. Wang")} == {"r1", "r4", "r8"}
-    assert lookup_name(corpus_ds, "nobody") == set()
+    index = corpus_ds.name_index
+    assert index[normalize_name("W. Wang")] == {"r1", "r4", "r8"}
+    assert normalize_name("nobody") not in index
 
 
 def test_cooccurring(corpus_ds):
-    r1 = corpus_ds.references["r1"]
-    assert {r.id for r in cooccurring(corpus_ds, r1)} == {"r2", "r3"}
-    orphan = corpus_ds.references["r1"].__class__(id="zz", name="Z. Zz")
+    assert set(corpus_ds.cooccurrences("r1")) == {("h1", "r2"), ("h1", "r3")}
+    assert set(corpus_ds.cooccurrences("r4")) == {("h2", "r5")}
     with pytest.raises(KeyError):
-        cooccurring(corpus_ds, orphan)
+        list(corpus_ds.cooccurrences("zz"))
 
 
 def test_query_requires_value():
@@ -117,3 +118,35 @@ def test_numeric_mode_indexes():
         name_mode="numeric")
     assert ds.numeric_value("a") == 1.5
     assert [x for x, _ in ds.sorted_numeric] == [1.5, 12.0]
+
+
+@pytest.mark.parametrize("name", ["nan", "inf", "-Infinity", "bob"])
+def test_numeric_mode_rejects_non_finite_names(name):
+    records = [{"pub_id": "p", "authors": [
+        {"id": "a", "name": "1.0"}, {"id": "bad", "name": name}]}]
+    with pytest.raises(IngestError, match="reference bad"):
+        ingest(records, name_mode="numeric")
+    assert ingest(records).references["bad"].name == name  # text mode
+
+
+@pytest.mark.parametrize("payload", [json.dumps(p) for p in [
+    {},
+    [],
+    {"references": [], "hyperedges": {}},
+    {"references": [{"name": "A. Aa"}], "hyperedges": []},
+    {"references": [{"id": 1, "name": "A. Aa"}], "hyperedges": []},
+    {"references": [{"id": "a", "name": "A. Aa", "hyperedges": [["p"]]}],
+     "hyperedges": [{"id": "p", "refs": ["a"]}]},
+    {"references": [], "hyperedges": [{"id": "p", "refs": "a"}]},
+    {"references": [], "hyperedges": [], "name_mode": "roman"},
+    {"references": [{"id": "a", "name": "A. Aa", "hyperedges": ["p"]},
+                    {"id": "a", "name": "B. Bb", "hyperedges": ["p"]}],
+     "hyperedges": [{"id": "p", "refs": ["a"]}]},
+    {"references": [{"id": "a", "name": "A. Aa", "hyperedges": ["p"]}],
+     "hyperedges": [{"id": "p", "refs": ["a"]}, {"id": "p", "refs": ["a"]}]},
+]] + ["{"])
+def test_malformed_snapshot_raises_ingest_error(tmp_path, payload):
+    path = tmp_path / "snap.txt"
+    path.write_text(SNAPSHOT_HEADER + "\n" + payload)
+    with pytest.raises(IngestError, match="snapshot"):
+        load_snapshot(path)

@@ -1,5 +1,8 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -211,3 +214,30 @@ def test_trend_report_shape():
     assert header == "setting\tthreshold\tmean\tstddev\tn_runs"
     with pytest.raises(ValueError):
         run_trend_experiment("bogus", [1], range(1), base, cfg)
+
+
+_RCER_SEED3 = """
+from qer import evalkit, synthgen
+from qer.similarity import SimilarityConfig
+out = synthgen.generate(synthgen.GenParams(seed=3))
+cfg = SimilarityConfig(alpha=0.5, epsilon=0.9, delta=0.9, merge_threshold=0.3)
+m = evalkit.evaluate_baseline("RCER", out.dataset, set(out.dataset.references),
+                              cfg, 0.3, out.gold)
+print(m.tp, m.fp, m.fn)
+"""
+
+
+def test_rcer_baseline_independent_of_hash_seed():
+    # the reference ids reach run_rcer as a set, whose order follows the
+    # string hash seed
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    runs = []
+    for hash_seed in ("0", "14"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", _RCER_SEED3], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        runs.append(proc.stdout)
+    assert runs[0] == runs[1]

@@ -12,7 +12,6 @@ from qer.expansion import (
     adaptive_x_a,
     adaptive_x_h,
     build_relevant_set,
-    estimate_ambiguity,
     x_a,
     x_a_exact,
     x_h,
@@ -90,15 +89,15 @@ def test_monotone_coverage(corpus_ds):
 
 def test_estimator_naive(corpus_ds):
     est = AmbiguityEstimator(corpus_ds, use_secondary=False)
-    assert estimate_ambiguity(est, "W Wang") == pytest.approx(0.3)
-    assert estimate_ambiguity(est, "L. Li") == pytest.approx(0.1)
-    assert estimate_ambiguity(est, "Nobody") == 0.0
+    assert est.estimate("W Wang") == pytest.approx(0.3)
+    assert est.estimate("L. Li") == pytest.approx(0.1)
+    assert est.estimate("Nobody") == 0.0
 
 
 def test_estimator_conditional(corpus_ds):
     est = AmbiguityEstimator(corpus_ds)  # secondary attribute on by default
     # one distinct first initial for last name "wang", out of 10 references
-    assert estimate_ambiguity(est, "W Wang") == pytest.approx(0.1)
+    assert est.estimate("W Wang") == pytest.approx(0.1)
     assert est.mu_r == pytest.approx(10 / 5)
 
 

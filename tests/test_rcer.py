@@ -1,14 +1,18 @@
 import itertools
-import random
+from collections import Counter
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qer.corpus import ingest
+from qer.corpus import Query, ingest
+from qer.expansion import ExpansionParams
 from qer.rcer import (
-    _State,
+    ClusterState,
     block_candidates,
     bootstrap,
     partition_at_threshold,
+    resolve,
     run_rcer,
 )
 from qer.similarity import SimilarityConfig, SimilarityContext
@@ -65,7 +69,7 @@ def test_bootstrap_exact_name_mode(corpus_ds):
 
 
 def test_merge_errors(corpus_ds, ctx):
-    state = _State(corpus_ds, ctx, [["r1"], ["r4"], ["r8"]])
+    state = ClusterState(corpus_ds, ctx, [["r1"], ["r4"], ["r8"]])
     with pytest.raises(ValueError):
         state.merge(0, 0)
     new = state.merge(0, 1)
@@ -75,13 +79,48 @@ def test_merge_errors(corpus_ds, ctx):
         state.merge(0, 2)  # 0 retired by the previous merge
 
 
+def _recount(ds, state, cid):
+    """Neighbor labels of a cluster from scratch: each (hyper-edge, partner)
+    incidence of its members once, the cluster's own label left out."""
+    incidences = {inc for rid in state.members[cid]
+                  for inc in ds.cooccurrences(rid)}
+    return Counter(state.labels[other] for _, other in incidences
+                   if state.labels[other] != cid)
+
+
+@given(st.integers(0, 9), st.lists(st.tuples(st.integers(0, 99),
+                                             st.integers(1, 99)),
+                                   max_size=25))
+@settings(max_examples=30, deadline=None)
+def test_neighbor_counters_match_recount(seed, picks):
+    """After any sequence of merges, every incrementally kept neighbor
+    counter equals a recount from the hyper-edges."""
+    ds = synthgen.generate(synthgen.GenParams(
+        n_entities=8, n_relationships=10, n_hyperedges=14, p_a=0.5,
+        p_c=0.5, seed=seed)).dataset
+    cfg = SimilarityConfig(alpha=0.5, epsilon=0.8, delta=0.7,
+                           merge_threshold=0.0)
+    state = ClusterState(ds, SimilarityContext(ds, cfg),
+                         [[r] for r in sorted(ds.references)])
+    for i, step in picks:
+        live = sorted(state.members)
+        if len(live) < 2:
+            break
+        a = live[i % len(live)]
+        b = live[(i + step) % len(live)]
+        if a == b:
+            continue
+        state.merge(a, b)
+        for cid in state.members:
+            assert state.nbr[cid] == _recount(ds, state, cid)
+
+
 def test_run_rcer_empty_refs(corpus_ds, text_cfg):
     with pytest.raises(ValueError):
         run_rcer(corpus_ds, [], text_cfg)
 
 
 def test_high_threshold_returns_bootstrap(corpus_ds, text_cfg):
-    from dataclasses import replace
     cfg = replace(text_cfg, merge_threshold=0.99)
     res = run_rcer(corpus_ds, sorted(corpus_ds.references), cfg)
     assert len(res.clusters) == 10
@@ -104,7 +143,6 @@ def test_running_example_cascade(corpus_ds, text_cfg):
     """With the merge threshold at 0 every blocked group eventually
     collapses: the relational feedback pulls the second W. Wang into the
     first Wang cluster once the two C. Chens merge."""
-    from dataclasses import replace
     res = run_rcer(corpus_ds, sorted(corpus_ds.references),
                    replace(text_cfg, merge_threshold=0.0))
     parts = {frozenset(c) for c in res.clusters}
@@ -133,7 +171,7 @@ def _naive_rcer(ds, ref_ids, cfg):
     """Reference implementation: recompute every candidate pair similarity
     from scratch each iteration."""
     ctx = SimilarityContext(ds, cfg)
-    state = _State(ds, ctx, [[r] for r in ref_ids])
+    state = ClusterState(ds, ctx, [[r] for r in ref_ids])
     cand = set()
     for pair in block_candidates(ds, ref_ids, ctx):
         a, b = tuple(pair)
@@ -179,7 +217,6 @@ def test_matches_naive_recompute_oracle(seed):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_threshold_replay_equals_fresh_run(seed):
-    from dataclasses import replace
     params = synthgen.GenParams(n_entities=12, n_relationships=20,
                                 n_hyperedges=30, p_a=0.5, p_c=0.5, seed=seed)
     out = synthgen.generate(params)
@@ -192,3 +229,49 @@ def test_threshold_replay_equals_fresh_run(seed):
         fresh = run_rcer(out.dataset, ref_ids,
                          replace(cfg, merge_threshold=t))
         assert replayed == set(fresh.clusters)
+
+
+def test_ref_order_does_not_matter(corpus_ds, text_cfg):
+    cfg = replace(text_cfg, merge_threshold=0.0)
+    fwd = run_rcer(corpus_ds, sorted(corpus_ds.references), cfg)
+    rev = run_rcer(corpus_ds, sorted(corpus_ds.references, reverse=True), cfg)
+    assert fwd == rev
+
+
+def test_replay_below_recorded_threshold_raises():
+    # a log recorded at 0.5 holds no merge below 0.5: replayed at 0.3 it
+    # would give 784 clusters where a fresh run at 0.3 gives 173
+    out = synthgen.generate(synthgen.GenParams(seed=3))
+    ds = out.dataset
+    cfg = SimilarityConfig(alpha=0.5, epsilon=0.9, delta=0.9,
+                           merge_threshold=0.5)
+    recorded = run_rcer(ds, ds.references, cfg)
+    assert recorded.merge_threshold == 0.5
+    with pytest.raises(ValueError, match="recorded at 0.5"):
+        partition_at_threshold(recorded, 0.3)
+    assert len(run_rcer(ds, ds.references,
+                        replace(cfg, merge_threshold=0.3)).clusters) == 173
+    for t in (0.5, 0.7):
+        fresh = run_rcer(ds, ds.references, replace(cfg, merge_threshold=t))
+        assert {frozenset(c) for c in partition_at_threshold(recorded, t)} \
+            == set(fresh.clusters)
+
+
+def test_resolve_running_example(corpus_ds, text_cfg):
+    params = ExpansionParams(d_star=3, delta=text_cfg.delta)
+    answer = resolve(corpus_ds, Query(value="W. Wang"), params,
+                     replace(text_cfg, merge_threshold=0.0))
+    assert answer.rset.levels[0] == {"r1", "r4", "r8", "r9"}
+    assert answer.result.merge_threshold == 0.0
+    assert answer.extract_seconds >= 0 and answer.resolve_seconds >= 0
+    assert answer.groups() == [["r1", "r4", "r8", "r9"]]
+    assert answer.groups(0.6) == [["r1"], ["r4"], ["r8"], ["r9"]]
+    for t in (0.0, 0.5, 0.6):
+        at_t = resolve(corpus_ds, Query(value="W. Wang"), params,
+                       replace(text_cfg, merge_threshold=t))
+        assert at_t.groups() == answer.groups(t)
+    with pytest.raises(ValueError):
+        at_t.groups(0.5)  # recorded at 0.6
+    nothing = resolve(corpus_ds, Query(value="Z. Zz"), params, text_cfg)
+    assert not nothing.rset.answerable
+    assert nothing.result is None and nothing.groups() == []

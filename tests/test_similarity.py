@@ -1,23 +1,22 @@
-import math
 from collections import Counter
+from dataclasses import replace
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qer.corpus import ingest
+from qer.rcer import ClusterState
 from qer.similarity import (
     CorpusStats,
     SimilarityConfig,
     SimilarityContext,
-    combine,
     delta_similar_names,
     jaccard,
     jaro_winkler,
     levenshtein,
     load_config,
-    neighborhood,
     numeric_sim,
-    relational_sim,
     representative,
     soft_tfidf,
 )
@@ -142,21 +141,47 @@ def test_epsilon_similar(ctx):
     assert not ctx.epsilon_similar("r1", "r6")
 
 
-def test_representative():
+def _cluster_state(ds, labels, cfg):
+    """A ClusterState with one cluster per label; returns it and the
+    cluster id of each label."""
+    groups = {}
+    for rid, lab in sorted(labels.items()):
+        groups.setdefault(lab, []).append(rid)
+    order = sorted(groups)
+    state = ClusterState(ds, SimilarityContext(ds, cfg),
+                         [groups[lab] for lab in order])
+    return state, {lab: cid for cid, lab in enumerate(order)}
+
+
+def test_representative(corpus_ds, text_cfg):
     assert representative(["w wang", "w wang", "w w wang"]) == "w wang"
     assert representative(["b", "a"]) == "a"                 # tie: lexicographic
     assert representative(["10.0", "9.0"], numeric=True) == "9.0"
+    # the merge loop's clusters take their name representative from it
+    state, cid = _cluster_state(
+        corpus_ds, {"r1": 0, "r4": 0, "r9": 0, "r2": 1, "r3": 1}, text_cfg)
+    assert state.reps[cid[0]] == {"name": "w wang"}
+    assert state.reps[cid[1]] == {"name": "a ansari"}        # tie: lexicographic
+    nds = ingest([{"pub_id": "p", "authors": [
+        {"id": "a", "name": "10.0"}, {"id": "b", "name": "9.0"}]}],
+        name_mode="numeric")
+    state, _ = _cluster_state(nds, {"a": 0, "b": 0}, text_cfg)
+    assert state.reps[0] == {"name": "9.0"}                  # tie: numeric
 
 
-def test_neighborhood_excludes_own_label(corpus_ds):
+def test_neighborhood_excludes_own_label(corpus_ds, text_cfg):
     # cluster {r1, r4, r9} labeled 0; co-occurring Ansari refs labeled 1,
     # Chen ref labeled 2
     labels = {"r1": 0, "r4": 0, "r9": 0, "r3": 1, "r5": 1, "r10": 1, "r2": 2}
-    nbr = neighborhood(corpus_ds, {"r1", "r4", "r9"}, labels, own_label=0)
-    assert nbr == {1, 2}
-    multi = neighborhood(corpus_ds, {"r1", "r4", "r9"}, labels, own_label=0,
-                         multiset=True)
-    assert multi == Counter({1: 3, 2: 1})
+    state, _ = _cluster_state(corpus_ds, labels, text_cfg)
+    assert state.nbr[0] == Counter({1: 3, 2: 1})
+    assert set(state.nbr[0]) == {1, 2}
+    assert state.nbr[1] == Counter({0: 3, 2: 1})
+    # set semantics: {1, 2} vs {0, 2}; multiset: 1 shared of 3 + 1 + 3
+    assert state.rel_sim(0, 1) == pytest.approx(1 / 3)
+    multi, _ = _cluster_state(
+        corpus_ds, labels, replace(text_cfg, multiset_neighborhood=True))
+    assert multi.rel_sim(0, 1) == pytest.approx(1 / 7)
 
 
 def test_jaccard_conventions():
@@ -165,24 +190,22 @@ def test_jaccard_conventions():
     assert jaccard(Counter(a=2), Counter(a=1, b=1)) == pytest.approx(1 / 3)
 
 
-def test_relational_sim_running_example(corpus_ds):
-    # after the two Chens merge, the Wang cluster and r8 share both
-    # neighbor labels
+def test_relational_sim_running_example(corpus_ds, text_cfg):
+    # after the two Chens merge, the Wang cluster and r8 share one of the
+    # three neighbor labels: Wang-cluster nbrs {1, 2}, r8 nbrs {2, 4}
     labels = {"r1": 0, "r4": 0, "r9": 0, "r8": 3,
               "r3": 1, "r5": 1, "r10": 1, "r2": 2, "r7": 2, "r6": 4}
-    sim = relational_sim(corpus_ds, {"r1", "r4", "r9"}, {"r8"}, labels,
-                         label1=0, label2=3)
-    # Wang-cluster nbrs {1,2}; r8 nbrs {4,2,3->?}: {2,4}
-    assert sim == pytest.approx(1 / 3)
+    state, _ = _cluster_state(corpus_ds, labels, text_cfg)
+    assert state.rel_sim(0, 3) == pytest.approx(1 / 3)
+    # the same state reached by merges from singletons
+    state, cid = _cluster_state(corpus_ds, {r: r for r in labels}, text_cfg)
+    wang = state.merge(state.merge(cid["r1"], cid["r4"]), cid["r9"])
+    state.merge(state.merge(cid["r3"], cid["r5"]), cid["r10"])
+    state.merge(cid["r2"], cid["r7"])
+    assert state.rel_sim(wang, cid["r8"]) == pytest.approx(1 / 3)
 
 
-@given(st.floats(0, 1), st.floats(0, 1), st.floats(0, 1), st.floats(0, 1))
-def test_combine_monotone(alpha, attr, r1, r2):
-    lo, hi = sorted((r1, r2))
-    assert combine(alpha, attr, hi) >= combine(alpha, attr, lo) - 1e-12
-
-
-def _pair_records(pairs):
+def _pair_records(pairs, name=lambda lab: f"N{lab}"):
     """One two-author record per (label, label) pair, plus the labeling of
     the references it creates."""
     records, labels = [], {}
@@ -190,13 +213,34 @@ def _pair_records(pairs):
         authors = []
         for j, lab in enumerate(pair):
             labels[f"p{i}:{j}"] = lab
-            authors.append({"id": f"p{i}:{j}", "name": f"N{lab}"})
+            authors.append({"id": f"p{i}:{j}", "name": name(lab)})
         records.append({"pub_id": f"p{i}", "authors": authors})
     return ingest(records), labels
 
 
-def _relabel(labels, old, new):
-    return {rid: new if lab == old else lab for rid, lab in labels.items()}
+@given(st.floats(0, 1), st.lists(
+    st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=1, max_size=10))
+@settings(max_examples=40, deadline=None)
+def test_combine_monotone(alpha, pairs):
+    """The merge loop's score is (1 - alpha) * attribute + alpha *
+    relational, so between cluster pairs with equal attribute parts it
+    never falls as the relational part rises."""
+    # even and odd labels share a name, so attribute parts are 0 or 1
+    ds, labels = _pair_records(pairs, name=lambda lab: f"N{lab % 2}")
+    cfg = SimilarityConfig(alpha=alpha, epsilon=0.9, delta=0.9,
+                           merge_threshold=0.0)
+    state, _ = _cluster_state(ds, labels, cfg)
+    scored = []
+    for a, b in combinations(sorted(state.members), 2):
+        attr = state.ctx.attribute_sim(state.reps[a], state.reps[b])
+        rel = state.rel_sim(a, b)
+        sim = state.combined(a, b)
+        assert sim == pytest.approx((1 - alpha) * attr + alpha * rel)
+        scored.append((attr, rel, sim))
+    for (a1, r1, s1), (a2, r2, s2) in combinations(scored, 2):
+        if a1 == a2:
+            lo, hi = sorted(((r1, s1), (r2, s2)))
+            assert hi[1] >= lo[1] - 1e-12
 
 
 @given(st.data())
@@ -218,17 +262,14 @@ def test_merging_common_neighbors_never_decreases_relational_sim(data):
     pairs = [(c1, m1), (c2, m2)] + [
         p for p in drawn if frozenset(p) not in forbidden]
     ds, labels = _pair_records(pairs)
-    clusters = {}
-    for rid, lab in labels.items():
-        clusters.setdefault(lab, set()).add(rid)
-    n1 = neighborhood(ds, clusters[c1], labels, own_label=c1)
-    n2 = neighborhood(ds, clusters[c2], labels, own_label=c2)
-    assert m1 in n1 - n2 and m2 in n2 - n1
-    before = relational_sim(ds, clusters[c1], clusters[c2], labels,
-                            label1=c1, label2=c2)
-    after = relational_sim(ds, clusters[c1], clusters[c2],
-                           _relabel(labels, m2, m1), label1=c1, label2=c2)
-    assert after > before
+    cfg = SimilarityConfig(alpha=0.5, epsilon=0.9, delta=0.9,
+                           merge_threshold=0.0)
+    state, cid = _cluster_state(ds, labels, cfg)
+    n1, n2 = set(state.nbr[cid[c1]]), set(state.nbr[cid[c2]])
+    assert cid[m1] in n1 - n2 and cid[m2] in n2 - n1
+    before = state.rel_sim(cid[c1], cid[c2])
+    state.merge(cid[m1], cid[m2])
+    assert state.rel_sim(cid[c1], cid[c2]) > before
 
 
 def test_merging_two_shared_neighbors_can_decrease_relational_sim():
@@ -236,16 +277,17 @@ def test_merging_two_shared_neighbors_can_decrease_relational_sim():
     c1, c2, m1, m2, k, j = range(6)
     ds, labels = _pair_records([(c1, m1), (c1, m2), (c1, k),
                                 (c2, m1), (c2, m2), (c2, j)])
-    members1 = {rid for rid, lab in labels.items() if lab == c1}
-    members2 = {rid for rid, lab in labels.items() if lab == c2}
+    cfg = SimilarityConfig(alpha=0.5, epsilon=0.9, delta=0.9,
+                           merge_threshold=0.0)
 
-    def sim(labeling):
-        return relational_sim(ds, members1, members2, labeling,
-                              label1=c1, label2=c2)
+    def sim_after_merging(x, y):
+        state, _ = _cluster_state(ds, labels, cfg)  # cluster id == label
+        assert state.rel_sim(c1, c2) == 0.5
+        state.merge(x, y)
+        return state.rel_sim(c1, c2)
 
-    assert sim(labels) == 0.5
     # merging two shared neighbors drops one label from both the
     # intersection and the union: (I - 1) / (U - 1) <= I / U
-    assert sim(_relabel(labels, m2, m1)) == 1 / 3
+    assert sim_after_merging(m1, m2) == 1 / 3
     # merging a c1-only with a c2-only neighbor adds a shared one
-    assert sim(_relabel(labels, j, k)) == 1.0
+    assert sim_after_merging(k, j) == 1.0
