@@ -39,12 +39,10 @@ def _refs_by_entity(ds: Dataset, gold: GoldLabeling) -> dict[str, list[str]]:
 
 
 def estimate_attribute_probs(ds: Dataset, gold: GoldLabeling,
-                             cfg: SimilarityConfig,
-                             ctx: SimilarityContext | None = None):
+                             cfg: SimilarityConfig):
     """a_I(e): fraction of within-entity reference pairs that clear the
     conservative similarity threshold; a_A(e1,e2): same over cross pairs."""
-    if ctx is None:
-        ctx = SimilarityContext(ds, cfg)
+    ctx = SimilarityContext(ds, cfg)
     by_entity = _refs_by_entity(ds, gold)
     a_i: dict[str, float] = {}
     for e, refs in by_entity.items():
@@ -94,14 +92,12 @@ def _has_ambiguous_witness(ds: Dataset, gold: GoldLabeling,
 
 
 def estimate_relational_probs(ds: Dataset, gold: GoldLabeling,
-                              cfg: SimilarityConfig,
-                              ctx: SimilarityContext | None = None):
+                              cfg: SimilarityConfig):
     """r_I(e): fraction of liberal-similar within-entity pairs connected by
     an identifying witness; r_A(e1,e2): analog over cross-entity pairs with
     an ambiguous witness.  Entities (pairs) with no liberal-similar pairs
     are omitted (callers treat missing as 0)."""
-    if ctx is None:
-        ctx = SimilarityContext(ds, cfg)
+    ctx = SimilarityContext(ds, cfg)
     by_entity = _refs_by_entity(ds, gold)
     name = lambda rid: ds.references[rid].norm_name
     r_i: dict[str, float] = {}
@@ -143,9 +139,8 @@ def estimate_neighbor_weights(ds: Dataset, gold: GoldLabeling
 
 def estimate_structural_probs(ds: Dataset, gold: GoldLabeling,
                               cfg: SimilarityConfig) -> StructuralProbs:
-    ctx = SimilarityContext(ds, cfg)
-    a_i, a_a = estimate_attribute_probs(ds, gold, cfg, ctx)
-    r_i, r_a = estimate_relational_probs(ds, gold, cfg, ctx)
+    a_i, a_a = estimate_attribute_probs(ds, gold, cfg)
+    r_i, r_a = estimate_relational_probs(ds, gold, cfg)
     return StructuralProbs(
         a_i=a_i, a_a=a_a, r_i=r_i, r_a=r_a,
         neighbor_weights=estimate_neighbor_weights(ds, gold),

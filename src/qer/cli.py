@@ -126,7 +126,10 @@ def cmd_eval(args) -> int:
     kind = {"A*": "A_star", "NR*": "NR_star",
             "RC-ER": "RCER"}.get(args.baseline, args.baseline)
     refs = set(ds.references)
-    if args.sweep:
+    if args.sweep and kind == "RCER":  # one clustering, replayed
+        sweep = evalkit.rcer_threshold_sweep(ds, refs, cfg, SWEEP, gold)
+        threshold, m = evalkit.best_f1_over_thresholds(sweep.get, SWEEP)
+    elif args.sweep:
         threshold, m = evalkit.best_f1_over_thresholds(
             lambda t: evalkit.evaluate_baseline(kind, ds, refs, cfg, t, gold),
             SWEEP)

@@ -11,6 +11,7 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 
 class IngestError(ValueError):
@@ -49,6 +50,28 @@ def blocking_key(norm_name: str) -> tuple[str, str]:
     return (first_initial(norm_name), ln[0] if ln else "")
 
 
+def name_buckets(names, numeric: bool):
+    """Distinct normalized names for ``similarity.delta_neighbours``: numeric
+    ones as (value, name) sorted by value, text ones listed by
+    ``blocking_key``, which every pair the text rule accepts shares."""
+    if numeric:
+        return sorted((float(n), n) for n in names)
+    buckets: dict[tuple[str, str], list[str]] = {}
+    for n in names:
+        buckets.setdefault(blocking_key(n), []).append(n)
+    return buckets
+
+
+def finite_number(text: str) -> float:
+    """``float(text)``; ``ValueError`` naming ``text`` unless it is finite."""
+    try:
+        if math.isfinite(x := float(text)):
+            return x
+    except ValueError:
+        pass
+    raise ValueError(f"numeric value {text!r} is not a finite number")
+
+
 @dataclass(eq=False)  # identity comparison: each mention is unique
 class Reference:
     id: str
@@ -84,6 +107,8 @@ class Dataset:
 
     ``name_mode`` is "text" for author names (string similarity) or
     "numeric" for synthetic scalar attributes rendered as decimal text.
+    ``name_buckets`` is built on first use, not at ingest; two concurrent
+    first readers may both compute the same value.
     """
 
     def __init__(self, references, hyperedges, name_mode: str = "text"):
@@ -91,7 +116,6 @@ class Dataset:
         self.hyperedges: dict[str, HyperEdge] = {h.id: h for h in hyperedges}
         self.name_mode = name_mode
         self.name_index: dict[str, set[str]] = {}
-        self._numeric_values: dict[str, float] = {}
         self._build_indexes()
         self._check_invariants()
 
@@ -100,11 +124,20 @@ class Dataset:
             norm = r.norm_name
             self.name_index.setdefault(norm, set()).add(r.id)
             if self.name_mode == "numeric":
-                self._numeric_values[r.id] = _finite_number(norm, r)
-        if self.name_mode == "numeric":
-            self.sorted_numeric = sorted(
-                (float(n), n) for n in self.name_index
-            )
+                try:
+                    finite_number(norm)
+                except ValueError as e:
+                    raise IngestError(f"reference {r.id}: {e}") from None
+
+    @cached_property
+    def name_buckets(self):
+        """``name_buckets`` of the distinct names, built on first use."""
+        return name_buckets(self.name_index, self.name_mode == "numeric")
+
+    @property
+    def sorted_numeric(self) -> list[tuple[float, str]]:
+        """``name_buckets`` in numeric mode: (value, name) by value."""
+        return self.name_buckets
 
     def _check_invariants(self):
         for r in self.references.values():
@@ -137,21 +170,10 @@ class Dataset:
                     yield hid, other
 
     def numeric_value(self, ref_id: str) -> float:
-        return self._numeric_values[ref_id]
+        return float(self.references[ref_id].norm_name)
 
     def __len__(self):
         return len(self.references)
-
-
-def _finite_number(norm_name: str, ref: Reference) -> float:
-    try:
-        x = float(norm_name)
-    except ValueError:
-        x = math.nan
-    if not math.isfinite(x):
-        raise IngestError(f"reference {ref.id}: numeric name {ref.name!r} "
-                          "is not a finite number")
-    return x
 
 
 @dataclass

@@ -172,19 +172,15 @@ def baseline_nr_pairs(ds: Dataset, refs, ctx: SimilarityContext,
 
 
 def evaluate_baseline(kind: str, ds: Dataset, refs, cfg: SimilarityConfig,
-                      threshold: float, gold: GoldLabeling,
-                      ctx: SimilarityContext | None = None) -> PairwiseMetrics:
+                      threshold: float, gold: GoldLabeling) -> PairwiseMetrics:
     if kind not in BASELINE_KINDS:
         raise ValueError(f"unknown baseline kind: {kind}")
     scope = {r if isinstance(r, str) else r.id for r in refs}
-    if ctx is None:
-        ctx = SimilarityContext(ds, cfg)
     if kind == "RCER":
-        result = run_rcer(ds, scope, replace(cfg, merge_threshold=threshold),
-                          ctx=ctx)
+        result = run_rcer(ds, scope, replace(cfg, merge_threshold=threshold))
         return pairwise_metrics(result.as_partition(), gold, scope)
     pair_fn = baseline_nr_pairs if kind.startswith("NR") else baseline_a_pairs
-    pairs = pair_fn(ds, scope, ctx, threshold)
+    pairs = pair_fn(ds, scope, SimilarityContext(ds, cfg), threshold)
     if kind.endswith("_star"):
         return pairwise_metrics(transitive_closure(pairs, scope), gold, scope)
     return pairwise_metrics_from_pairs(pairs, gold, scope)
@@ -204,13 +200,11 @@ def best_f1_over_thresholds(resolver, thresholds) -> tuple[float, PairwiseMetric
 
 
 def rcer_threshold_sweep(ds: Dataset, refs, cfg: SimilarityConfig,
-                         thresholds, gold: GoldLabeling,
-                         ctx: SimilarityContext | None = None,
-                         **rcer_kwargs):
+                         thresholds, gold: GoldLabeling, **rcer_kwargs):
     """One unthresholded clustering run replayed at each threshold."""
     scope = {r if isinstance(r, str) else r.id for r in refs}
     result = run_rcer(ds, scope, replace(cfg, merge_threshold=0.0),
-                      ctx=ctx, **rcer_kwargs)
+                      **rcer_kwargs)
     out = {}
     for t in thresholds:
         part = partition_at_threshold(result, t)

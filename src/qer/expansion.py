@@ -11,15 +11,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .corpus import Dataset, Query, Reference, first_initial, last_name, normalize_name
-from .similarity import NUMERIC_RANGE, delta_similar_names
+from .corpus import (Dataset, Query, Reference, finite_number, first_initial,
+                     last_name, normalize_name)
+from .similarity import delta_neighbours
 
 
 @dataclass
 class ExpansionParams:
+    """``delta`` parametrizes level 0's liberal rule
+    (``similarity.delta_similar_names``); only the numeric rule reads it."""
+
     d_star: int = 3
     delta: float = 0.0
-    exact_beyond_level0: bool = True
     h_max: float | None = None
     a_max: float | None = None
     adaptive_depth: bool = False
@@ -52,24 +55,15 @@ def _ids(ds: Dataset, refs) -> set[str]:
 
 
 def x_a(ds: Dataset, value: str, delta: float = 0.0) -> set[str]:
-    """References whose name matches ``value`` exactly or liberally."""
+    """References whose name matches ``value`` exactly or passes the liberal
+    (delta) rule with it; a non-finite numeric value raises ``ValueError``."""
     numeric = ds.name_mode == "numeric"
-    if numeric:
-        v = float(value)
-        max_gap = (1.0 - delta) * NUMERIC_RANGE
-        out: set[str] = set()
-        for x, name in ds.sorted_numeric:
-            if x < v - max_gap:
-                continue
-            if x > v + max_gap:
-                break
-            out |= ds.name_index[name]
-        return out
     value = normalize_name(value)
+    if numeric:
+        finite_number(value)
     out = set(ds.name_index.get(value, ()))
-    for name, ids in ds.name_index.items():
-        if name != value and delta_similar_names(value, name):
-            out |= ids
+    for name in delta_neighbours(value, ds.name_buckets, numeric, delta):
+        out |= ds.name_index[name]
     return out
 
 
@@ -175,24 +169,20 @@ def adaptive_x_a(ds: Dataset, frontier, a_max: float,
 
 
 def build_relevant_set(ds: Dataset, q: Query,
-                       params: ExpansionParams | None = None,
-                       est: AmbiguityEstimator | None = None) -> RelevantSet:
+                       params: ExpansionParams | None = None) -> RelevantSet:
     """Alternating breadth-limited expansion around the query value.
 
     Level 0 is the liberal name lookup; odd levels follow co-occurrences;
-    even levels (2+) follow exact names (or the liberal lookup when
-    ``exact_beyond_level0`` is off).  Each reference appears only at its
-    first-discovered level.
+    even levels (2+) follow exact names.  Each reference appears only at
+    its first-discovered level.
     """
     if params is None:
         params = ExpansionParams()
     adaptive = params.h_max is not None or params.a_max is not None \
         or params.adaptive_depth
-    if adaptive and est is None:
-        est = AmbiguityEstimator(ds)
-    depth = params.d_star
-    if params.adaptive_depth and est is not None:
-        depth = adaptive_depth(est, q, params)
+    est = AmbiguityEstimator(ds) if adaptive else None
+    depth = adaptive_depth(est, q, params) if params.adaptive_depth \
+        else params.d_star
 
     level0 = x_a(ds, q.value, params.delta)
     if not level0:
@@ -202,19 +192,14 @@ def build_relevant_set(ds: Dataset, q: Query,
     frontier = level0
     for i in range(1, depth + 1):
         if i % 2 == 1:
-            if params.h_max is not None and est is not None:
+            if params.h_max is not None:
                 nxt = adaptive_x_h(ds, frontier, params.h_max, est)
             else:
                 nxt = x_h(ds, frontier)
+        elif params.a_max is not None:
+            nxt = adaptive_x_a(ds, frontier, params.a_max, est)
         else:
-            if params.a_max is not None and est is not None:
-                nxt = adaptive_x_a(ds, frontier, params.a_max, est)
-            elif params.exact_beyond_level0:
-                nxt = x_a_exact(ds, frontier)
-            else:
-                nxt = set()
-                for rid in frontier:
-                    nxt |= x_a(ds, ds.references[rid].norm_name, params.delta)
+            nxt = x_a_exact(ds, frontier)
         nxt -= seen
         levels.append(nxt)
         seen |= nxt

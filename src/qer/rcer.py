@@ -16,44 +16,32 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .corpus import Dataset, Query, Reference, blocking_key
+from .corpus import Dataset, Query, Reference, name_buckets
 from .expansion import ExpansionParams, RelevantSet, build_relevant_set
 from .similarity import (
-    NUMERIC_RANGE,
     SimilarityConfig,
     SimilarityContext,
+    delta_neighbours,
     jaccard,
     representative,
 )
 
 
 def block_candidates(ds: Dataset, refs, ctx: SimilarityContext) -> set[frozenset]:
-    """Unordered reference-id pairs that pass the liberal candidate test.
-
-    Text mode buckets by (first initial, last-name first character) and
-    checks the edit-distance rule within each bucket; numeric mode scans a
-    sorted window.
-    """
-    ref_list = [r if isinstance(r, Reference) else ds.references[r] for r in refs]
+    """Unordered reference-id pairs whose names pass the liberal (delta)
+    rule, found with ``similarity.delta_neighbours`` among the names of
+    the given references."""
+    by_name: dict[str, list[str]] = {}
+    for r in refs:
+        r = r if isinstance(r, Reference) else ds.references[r]
+        by_name.setdefault(r.norm_name, []).append(r.id)
+    buckets = name_buckets(by_name, ctx.numeric)
     pairs: set[frozenset] = set()
-    if ctx.numeric:
-        ordered = sorted(ref_list, key=lambda r: float(r.norm_name))
-        max_gap = (1.0 - ctx.cfg.delta) * NUMERIC_RANGE
-        for i, r1 in enumerate(ordered):
-            v1 = float(r1.norm_name)
-            for r2 in ordered[i + 1:]:
-                if float(r2.norm_name) - v1 > max_gap:
-                    break
-                pairs.add(frozenset((r1.id, r2.id)))
-        return pairs
-    blocks: dict[tuple, list[Reference]] = {}
-    for r in ref_list:
-        blocks.setdefault(blocking_key(r.norm_name), []).append(r)
-    for block in blocks.values():
-        for i, r1 in enumerate(block):
-            for r2 in block[i + 1:]:
-                if ctx.delta_similar(r1.norm_name, r2.norm_name):
-                    pairs.add(frozenset((r1.id, r2.id)))
+    for n1, ids1 in by_name.items():
+        for n2 in delta_neighbours(n1, buckets, ctx.numeric, ctx.cfg.delta):
+            if n2 >= n1:  # each pair of names once
+                pairs.update(frozenset((a, b)) for a in ids1
+                             for b in by_name[n2] if a != b)
     return pairs
 
 
@@ -189,7 +177,6 @@ class ClusterState:
 
 
 def run_rcer(ds: Dataset, refs, cfg: SimilarityConfig,
-             ctx: SimilarityContext | None = None,
              bootstrap_mode: str = "singleton",
              ambiguity=None, ambiguity_cutoff: float = 0.0) -> RcerResult:
     """Cluster the given references; see the module docstring.
@@ -204,8 +191,7 @@ def run_rcer(ds: Dataset, refs, cfg: SimilarityConfig,
     ref_ids = sorted(r.id if isinstance(r, Reference) else r for r in refs)
     if not ref_ids:
         raise ValueError("no references to cluster")
-    if ctx is None:
-        ctx = SimilarityContext(ds, cfg)
+    ctx = SimilarityContext(ds, cfg)
     initial = bootstrap(ds, ref_ids, mode=bootstrap_mode,
                         ambiguity=ambiguity, ambiguity_cutoff=ambiguity_cutoff)
     state = ClusterState(ds, ctx, initial)

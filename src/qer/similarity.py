@@ -16,11 +16,13 @@ is computed by the merge loop's ``rcer.ClusterState``.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 
 from .corpus import (
     Dataset,
+    blocking_key,
     first_initial,
     last_name,
     name_tokens,
@@ -38,6 +40,9 @@ WINKLER_SCALE = 0.1
 
 @dataclass
 class SimilarityConfig:
+    """``delta`` parametrizes the liberal rule (``delta_similar_names``)
+    that picks candidate pairs; only the numeric rule reads it."""
+
     alpha: float
     epsilon: float
     delta: float
@@ -181,18 +186,35 @@ def delta_similar_names(n1: str, n2: str, numeric: bool = False,
     """Liberal candidate test for a pair of (normalized) name values.
 
     Text rule: first initials match, last names share their first character
-    and differ by at most 2 edits.  Numeric rule: range-scaled similarity at
-    least delta.
+    and differ by at most 2 edits; ``delta`` is ignored.  Numeric rule: the
+    values differ by at most (1 - delta) * NUMERIC_RANGE.
     """
     if numeric:
-        return numeric_sim(float(n1), float(n2)) >= delta
-    n1, n2 = normalize_name(n1), normalize_name(n2)
+        return abs(float(n1) - float(n2)) <= (1.0 - delta) * NUMERIC_RANGE
     if first_initial(n1) != first_initial(n2):
         return False
     l1, l2 = last_name(n1), last_name(n2)
     if not l1 or not l2 or l1[0] != l2[0]:
         return False
     return levenshtein(l1, l2) <= 2
+
+
+def delta_neighbours(name: str, buckets, numeric: bool = False,
+                     delta: float = 0.0):
+    """The names in ``buckets`` (``corpus.name_buckets``) that pass
+    ``delta_similar_names`` with the normalized ``name``.  Numeric names
+    are walked outward from ``name``'s value, each side up to its first
+    rejected name: the numeric rule rejects all names further away."""
+    if not numeric:
+        yield from (other for other in buckets.get(blocking_key(name), ())
+                    if delta_similar_names(name, other))
+        return
+    start = bisect_left(buckets, (float(name),))
+    for side in (range(start, len(buckets)), range(start - 1, -1, -1)):
+        for i in side:
+            if not delta_similar_names(name, buckets[i][1], True, delta):
+                break
+            yield buckets[i][1]
 
 
 class SimilarityContext:

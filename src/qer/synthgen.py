@@ -111,27 +111,23 @@ def create_entities(params: GenParams, rng: random.Random) -> SyntheticWorld:
 
 
 def _intersecting_others(world: SyntheticWorld, e: Entity,
-                         _cache: dict | None = None) -> list[Entity]:
-    if _cache is not None and e.id in _cache:
-        return _cache[e.id]
-    out = [o for o in world.entities
-           if o.id != e.id and world.ranges_intersect(o, e)]
-    if _cache is not None:
-        _cache[e.id] = out
-    return out
+                         cache: dict[str, list[Entity]]) -> list[Entity]:
+    """Look-alikes of ``e``, memoized in ``cache`` (entities never move)."""
+    if e.id not in cache:
+        cache[e.id] = [o for o in world.entities
+                       if o.id != e.id and world.ranges_intersect(o, e)]
+    return cache[e.id]
 
 
 def add_relationships(world: SyntheticWorld, params: GenParams,
                       rng: random.Random) -> SyntheticWorld:
     if params.n_relationships and len(world.entities) < 2:
         raise ValueError("need at least 2 entities for relationships")
-    existing: set[frozenset] = set()
     intersect_cache: dict[str, list[Entity]] = {}
 
     def add_edge(e1: Entity, e2: Entity):
         e1.nbrs.add(e2.id)
         e2.nbrs.add(e1.id)
-        existing.add(frozenset((e1.id, e2.id)))
         world.relationships.append((e1.id, e2.id))
 
     def try_ambiguous() -> bool:
@@ -145,12 +141,8 @@ def add_relationships(world: SyntheticWorld, params: GenParams,
                 cand_i = _intersecting_others(world, a, intersect_cache)
                 cand_j = _intersecting_others(world, b, intersect_cache)
                 for ei in cand_i:
-                    for ej in cand_j:
-                        if ei.id == ej.id:
-                            continue
-                        if frozenset((ei.id, ej.id)) in existing:
-                            continue
-                        feasible.append((ei, ej))
+                    feasible.extend((ei, ej) for ej in cand_j
+                                    if ej.id != ei.id and ej.id not in ei.nbrs)
         if not feasible:
             return False
         ei, ej = rng.choice(feasible)
@@ -165,7 +157,7 @@ def add_relationships(world: SyntheticWorld, params: GenParams,
             world.relationship_fallbacks += 1
         for _ in range(1000):
             e1, e2 = rng.sample(world.entities, 2)
-            if frozenset((e1.id, e2.id)) not in existing:
+            if e2.id not in e1.nbrs:
                 add_edge(e1, e2)
                 break
         else:

@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from qer import corpus
-from qer.cli import main
+from qer import corpus, evalkit, synthgen
+from qer.cli import DEFAULT_CFG, SWEEP, main
 
 from conftest import CORPUS_RECORDS, GOLD_ASSIGNMENTS
 
@@ -139,3 +139,44 @@ def test_query_malformed_snapshot(tmp_path, capsys):
     snap.write_text(corpus.SNAPSHOT_HEADER + "\n{}")
     assert main(["query", "W. Wang", "--dataset", str(snap)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.fixture
+def synth_files(tmp_path):
+    out = synthgen.generate(synthgen.GenParams(
+        n_entities=40, n_relationships=80, n_hyperedges=150, seed=3))
+    records = tmp_path / "synth.jsonl"
+    records.write_text("".join(json.dumps(r) + "\n" for r in out.records))
+    gold = tmp_path / "synth_gold.txt"
+    corpus.save_gold(out.gold, str(gold))
+    return str(records), str(gold)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "bob"])
+def test_query_numeric_rejects_non_finite_value(synth_files, value, capsys):
+    records, _ = synth_files
+    assert main(["query", value, "--records", records,
+                 "--name-mode", "numeric"]) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and value in captured.err
+    assert not captured.out
+
+
+def test_eval_rcer_sweep_clusters_once(synth_files, monkeypatch, capsys):
+    records, gold = synth_files
+    calls = []
+    run_rcer = evalkit.run_rcer
+    monkeypatch.setattr(evalkit, "run_rcer",
+                        lambda *a, **k: calls.append(1) or run_rcer(*a, **k))
+    assert main(["eval", "--records", records, "--name-mode", "numeric",
+                 "--gold", gold, "--baseline", "RC-ER", "--sweep"]) == 0
+    assert len(calls) == 1
+    fields = dict(kv.split("=")
+                  for kv in capsys.readouterr().out.strip().split("\t"))
+    # the same pick as clustering afresh at every threshold
+    ds = corpus.ingest_file(records, name_mode="numeric")
+    t, m = evalkit.best_f1_over_thresholds(
+        lambda t: evalkit.evaluate_baseline(
+            "RCER", ds, set(ds.references), DEFAULT_CFG, t,
+            corpus.load_gold(gold)), SWEEP)
+    assert (fields["threshold"], fields["f1"]) == (f"{t:.3f}", f"{m.f1:.4f}")

@@ -163,9 +163,9 @@ def test_transitive_closure_monotone(corpus_ds, corpus_gold, ctx):
     refs = set(corpus_ds.references)
     for t in (0.0, 0.5, 0.9, 0.98):
         raw = evaluate_baseline("A", corpus_ds, refs, ctx.cfg, t,
-                                corpus_gold, ctx)
+                                corpus_gold)
         closed = evaluate_baseline("A_star", corpus_ds, refs, ctx.cfg, t,
-                                   corpus_gold, ctx)
+                                   corpus_gold)
         assert closed.recall >= raw.recall - 1e-12
 
 
@@ -177,7 +177,7 @@ def test_transitive_closure_groups():
 def test_best_f1_tie_prefers_lowest_threshold(corpus_ds, corpus_gold, ctx):
     refs = set(corpus_ds.references)
     resolver = lambda t: evaluate_baseline("A", corpus_ds, refs, ctx.cfg,
-                                           t, corpus_gold, ctx)
+                                           t, corpus_gold)
     t, m = best_f1_over_thresholds(resolver, [0.7, 0.8, 0.9])
     # all three thresholds accept the same exact-name pairs
     assert t == 0.7
@@ -188,7 +188,7 @@ def test_best_f1_tie_prefers_lowest_threshold(corpus_ds, corpus_gold, ctx):
 def test_single_threshold(corpus_ds, corpus_gold, ctx):
     refs = set(corpus_ds.references)
     resolver = lambda t: evaluate_baseline("A", corpus_ds, refs, ctx.cfg,
-                                           t, corpus_gold, ctx)
+                                           t, corpus_gold)
     t, m = best_f1_over_thresholds(resolver, [0.98])
     assert t == 0.98
     assert m == resolver(0.98)
