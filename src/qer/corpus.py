@@ -134,11 +134,6 @@ class Dataset:
         """``name_buckets`` of the distinct names, built on first use."""
         return name_buckets(self.name_index, self.name_mode == "numeric")
 
-    @property
-    def sorted_numeric(self) -> list[tuple[float, str]]:
-        """``name_buckets`` in numeric mode: (value, name) by value."""
-        return self.name_buckets
-
     def _check_invariants(self):
         for r in self.references.values():
             for hid in r.hyperedges:

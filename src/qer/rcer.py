@@ -2,11 +2,24 @@
 
 References start as (near-)singleton clusters; the algorithm repeatedly
 extracts the most similar candidate cluster pair from a priority queue,
-merges it, and refreshes the queued similarities of every pair whose
-relational evidence the merge changed.  Candidate pairs come from cheap
-blocking; the loop stops when the best remaining similarity drops below the
-merge threshold.  ``resolve`` answers a name query: it expands the query's
-relevant set, clusters it and projects the clusters onto level 0.
+merges it, and re-queues the pairs whose score the merge changed.  Candidate
+pairs come from cheap blocking; the loop stops when the best remaining
+similarity drops below the merge threshold.  ``resolve`` answers a name
+query: it expands the query's relevant set, clusters it and projects the
+clusters onto level 0.
+
+Refresh rule.  Merging a and b into ``new`` changes the representatives of
+``new`` only, and the neighbor labels of ``new`` and of the clusters in
+``nbr[new]`` (the clusters that neighbored a or b) only.  So after the pairs
+of ``new``, a pair (ck, cn) with ck in ``nbr[new]`` is re-queued when cn is
+also in ``nbr[new]`` (once, not from both sides), or, under set semantics,
+when ck neighbored both a and b.  Every other pair keeps its queued score:
+neighbors are symmetric, so cn neighbored neither a nor b and the two
+clusters' common labels are unchanged; under multiset semantics ck's counts
+only move from a and b to ``new``, and under set semantics ck swapped one
+label for another, so their union is unchanged too.  A queued entry left in
+place pops exactly where its re-push would have popped, since the version
+field never orders two valid entries.
 """
 
 from __future__ import annotations
@@ -82,6 +95,8 @@ class RcerResult:
     stopped_reason: str
     merge_threshold: float  # the log is complete down to this similarity
     initial_clusters: list[tuple] = field(default_factory=list)  # (id, members)
+    heap_pushes: int = 0  # merge-loop counters
+    stale_pops: int = 0  # popped entries of retired clusters or old scores
 
     def as_partition(self) -> list[set[str]]:
         return [set(c) for c in self.clusters]
@@ -222,15 +237,21 @@ def run_rcer(ds: Dataset, refs, cfg: SimilarityConfig,
 
     merge_log: list[tuple] = []
     stopped_reason = "exhausted"
+    stale_pops = 0
     while heap:
         neg, a, b, v = heapq.heappop(heap)
         if (a not in state.members or b not in state.members
                 or version.get((a, b)) != v):
+            stale_pops += 1
             continue
         sim = -neg
         if sim < cfg.merge_threshold:
             stopped_reason = "threshold"
             break
+        # under set semantics a cluster that neighbored both a and b loses
+        # one neighbor label, so its union with every partner shrinks
+        lost = set() if cfg.multiset_neighborhood \
+            else state.nbr[a].keys() & state.nbr[b].keys()
         new = state.merge(a, b)
         merge_log.append((sim, a, b, new))
         partners = (cand.pop(a, set()) | cand.pop(b, set())) - {a, b}
@@ -241,13 +262,14 @@ def run_rcer(ds: Dataset, refs, cfg: SimilarityConfig,
             cand[p].discard(b)
             cand[p].add(new)
             push(new, p)
-        # the merge changed the neighborhood of every neighbor cluster, so
-        # refresh their queued candidate similarities
-        for ck in set(state.nbr[new]):
-            if ck not in state.members:
-                continue
-            for cn in cand.get(ck, ()):
-                if cn != new and cn in state.members:
+        # refresh rule (module docstring): only the neighbors of new changed
+        nbr_new = state.nbr[new]
+        for ck in nbr_new:
+            for cn in cand[ck]:
+                if cn in nbr_new:
+                    if ck < cn:
+                        push(ck, cn)
+                elif ck in lost and cn != new:
                     push(ck, cn)
 
     clusters = [frozenset(state.members[cid]) for cid in sorted(state.members)]
@@ -258,6 +280,8 @@ def run_rcer(ds: Dataset, refs, cfg: SimilarityConfig,
         stopped_reason=stopped_reason,
         merge_threshold=cfg.merge_threshold,
         initial_clusters=initial_snapshot,
+        heap_pushes=sum(version.values()),  # each push bumps one version
+        stale_pops=stale_pops,
     )
 
 

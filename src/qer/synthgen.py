@@ -110,12 +110,17 @@ def create_entities(params: GenParams, rng: random.Random) -> SyntheticWorld:
     return SyntheticWorld(entities=entities)
 
 
+Lookalikes = tuple[list[Entity], set[str]]
+
+
 def _intersecting_others(world: SyntheticWorld, e: Entity,
-                         cache: dict[str, list[Entity]]) -> list[Entity]:
-    """Look-alikes of ``e``, memoized in ``cache`` (entities never move)."""
+                         cache: dict[str, Lookalikes]) -> Lookalikes:
+    """Look-alikes of ``e`` and their ids, memoized in ``cache`` (entities
+    never move)."""
     if e.id not in cache:
-        cache[e.id] = [o for o in world.entities
-                       if o.id != e.id and world.ranges_intersect(o, e)]
+        others = [o for o in world.entities
+                  if o.id != e.id and world.ranges_intersect(o, e)]
+        cache[e.id] = others, {o.id for o in others}
     return cache[e.id]
 
 
@@ -123,29 +128,52 @@ def add_relationships(world: SyntheticWorld, params: GenParams,
                       rng: random.Random) -> SyntheticWorld:
     if params.n_relationships and len(world.entities) < 2:
         raise ValueError("need at least 2 entities for relationships")
-    intersect_cache: dict[str, list[Entity]] = {}
+    intersect_cache: dict[str, Lookalikes] = {}
 
     def add_edge(e1: Entity, e2: Entity):
         e1.nbrs.add(e2.id)
         e2.nbrs.add(e1.id)
         world.relationships.append((e1.id, e2.id))
 
+    # (look-alikes of ek, of el, ids of the latter) for each relationship
+    # (ek, el) and each direction, in order, where both ends have look-alikes
+    lookalike_ends: list[tuple] = []
+    scanned = 0  # relationships already entered in lookalike_ends
+
     def try_ambiguous() -> bool:
-        # find an existing relationship (ek, el) and a fresh pair (ei, ej)
-        # with ei a look-alike of ek and ej a look-alike of el
-        feasible = []
-        for pair in world.relationships:
+        # draw a fresh pair (ei, ej) with ei a look-alike of ek and ej a
+        # look-alike of el for an existing relationship (ek, el), uniformly
+        # over the list of all such pairs; the pairs are only counted, per
+        # (relationship, direction, ei) block, and only the drawn block is
+        # listed
+        nonlocal scanned
+        for pair in world.relationships[scanned:]:
             ek = world.entity(pair[0])
             el = world.entity(pair[1])
             for a, b in ((ek, el), (el, ek)):
-                cand_i = _intersecting_others(world, a, intersect_cache)
-                cand_j = _intersecting_others(world, b, intersect_cache)
-                for ei in cand_i:
-                    feasible.extend((ei, ej) for ej in cand_j
-                                    if ej.id != ei.id and ej.id not in ei.nbrs)
-        if not feasible:
+                cand_i, _ = _intersecting_others(world, a, intersect_cache)
+                cand_j, ids_j = _intersecting_others(world, b,
+                                                     intersect_cache)
+                if cand_i and cand_j:
+                    lookalike_ends.append((cand_i, cand_j, ids_j))
+        scanned = len(world.relationships)
+        blocks = []
+        total = 0
+        for cand_i, cand_j, ids_j in lookalike_ends:
+            for ei in cand_i:
+                n = len(cand_j) - (ei.id in ids_j) - len(ei.nbrs & ids_j)
+                if n:
+                    blocks.append((n, ei, cand_j))
+                    total += n
+        if not total:
             return False
-        ei, ej = rng.choice(feasible)
+        k = rng.choice(range(total))  # the same draw as from a list
+        for n, ei, cand_j in blocks:
+            if k < n:
+                break
+            k -= n
+        ej = [ej for ej in cand_j
+              if ej.id != ei.id and ej.id not in ei.nbrs][k]
         add_edge(ei, ej)
         world.ambiguous_relationships += 1
         return True
@@ -169,7 +197,6 @@ def generate_hyperedges(world: SyntheticWorld, params: GenParams,
                         rng: random.Random) -> SyntheticOutput:
     records: list[dict] = []
     gold: dict[str, str] = {}
-    all_ids = [e.id for e in world.entities]
     for i in range(params.n_hyperedges):
         initiator = rng.choice(world.entities)
         members = [initiator.id]

@@ -117,7 +117,7 @@ def test_numeric_mode_indexes():
         {"id": "a", "name": "1.5"}, {"id": "b", "name": "12.0"}]}],
         name_mode="numeric")
     assert ds.numeric_value("a") == 1.5
-    assert [x for x, _ in ds.sorted_numeric] == [1.5, 12.0]
+    assert [x for x, _ in ds.name_buckets] == [1.5, 12.0]
 
 
 @pytest.mark.parametrize("name", ["nan", "inf", "-Infinity", "bob"])

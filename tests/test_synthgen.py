@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 import statistics
 
@@ -143,3 +145,20 @@ def test_values_track_entity_attribute():
     for rid, eid in out.gold.assignments.items():
         x = out.world.entity(eid).x
         assert abs(out.dataset.numeric_value(rid) - x) < 6.0  # ~6 sigma
+
+
+@pytest.mark.parametrize("p_r_a, digest", [
+    (0.3, "dba10944544c8264c9b73a31ec590d9e2bc88f227629b194bed0e15ad585d02a"),
+    (0.6, "974f3eebfe3df3ae416a18a8faf55aacd84618972fbc815a4b15b94e4edc50a9"),
+    (1.0, "9efd658026635a163ef735dea180bfe46bcb17f08aecf1cba88884e99fc81d86"),
+])
+def test_output_pinned(p_r_a, digest):
+    """Records and relationships of the benchmark's corpus shape are fixed
+    byte for byte: a faster generator must draw the same values."""
+    out = generate(GenParams(n_entities=400, n_relationships=800,
+                             n_hyperedges=2000, p_a=0.1, p_r_a=p_r_a,
+                             p_c=0.5, p_r=1.0, seed=1000))
+    w = out.world
+    blob = json.dumps([out.records, w.relationships,
+                       w.ambiguous_relationships, w.relationship_fallbacks])
+    assert hashlib.sha256(blob.encode()).hexdigest() == digest
