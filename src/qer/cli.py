@@ -55,6 +55,8 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_query(args) -> int:
+    if args.sweep and not args.gold:
+        raise ValueError("--sweep requires --gold")
     ds = _load_dataset(args)
     cfg = _load_cfg(args)
     if args.ref_id:
@@ -70,8 +72,7 @@ def cmd_query(args) -> int:
         d_star=args.depth, delta=cfg.delta,
         h_max=args.h_max, a_max=args.a_max,
         adaptive_depth=args.adaptive_depth)
-    sweep = bool(args.sweep and args.gold)
-    if sweep:
+    if args.sweep:
         threshold = 0.0
     elif args.threshold is not None:
         threshold = args.threshold
@@ -83,13 +84,13 @@ def cmd_query(args) -> int:
         print("empty answer: no reference matches the query value")
         return 0
     metrics = None
-    if sweep:
+    if args.sweep:
         gold = corpus.load_gold(args.gold)
         threshold, metrics = evalkit.best_f1_over_thresholds(
             lambda t: evalkit.pairwise_metrics(answer.groups(t), gold,
                                                answer.rset.levels[0]),
             SWEEP)
-    groups = answer.groups(threshold if sweep else None)
+    groups = answer.groups(threshold if args.sweep else None)
     if args.ref_id:
         groups = [g for g in groups if args.ref_id in g]
     extra = {
@@ -126,13 +127,9 @@ def cmd_eval(args) -> int:
     kind = {"A*": "A_star", "NR*": "NR_star",
             "RC-ER": "RCER"}.get(args.baseline, args.baseline)
     refs = set(ds.references)
-    if args.sweep and kind == "RCER":  # one clustering, replayed
-        sweep = evalkit.rcer_threshold_sweep(ds, refs, cfg, SWEEP, gold)
+    if args.sweep:
+        sweep = evalkit.threshold_sweep(kind, ds, refs, cfg, SWEEP, gold)
         threshold, m = evalkit.best_f1_over_thresholds(sweep.get, SWEEP)
-    elif args.sweep:
-        threshold, m = evalkit.best_f1_over_thresholds(
-            lambda t: evalkit.evaluate_baseline(kind, ds, refs, cfg, t, gold),
-            SWEEP)
     else:
         threshold = args.threshold if args.threshold is not None \
             else cfg.merge_threshold
@@ -159,7 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="qer", description="query-time entity resolution")
     p.add_argument("--config", help="similarity configuration file")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", choices=("text", "structured"), default="text")
     sub = p.add_subparsers(dest="command", required=True)
 

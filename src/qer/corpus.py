@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-import re
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -18,16 +18,13 @@ class IngestError(ValueError):
     """Raised for malformed or duplicate input records."""
 
 
-_WS = re.compile(r"\s+")
-
-
 def normalize_name(name: str) -> str:
     """Case-fold, collapse whitespace and strip trailing periods of initials.
 
     "W. Wang" and "W Wang" normalize to the same string.
     """
-    tokens = _WS.split(name.strip().lower())
-    return " ".join(t.rstrip(".") for t in tokens if t.rstrip("."))
+    tokens = (t.rstrip(".") for t in name.lower().split())
+    return " ".join(t for t in tokens if t)
 
 
 def name_tokens(norm_name: str) -> list[str]:
@@ -74,14 +71,20 @@ def finite_number(text: str) -> float:
 
 @dataclass(eq=False)  # identity comparison: each mention is unique
 class Reference:
+    """One name mention.  ``norm_name`` is ``normalize_name(name)``, computed
+    once, when the reference is built; ``name`` is not reassigned afterwards.
+    An already normalized name (every numeric one) is stored as itself and
+    the others are interned, so equal names share one string."""
+
     id: str
     name: str
     extra_attrs: dict[str, str] = field(default_factory=dict)
     hyperedges: set[str] = field(default_factory=set)
+    norm_name: str = field(init=False, repr=False)
 
-    @property
-    def norm_name(self) -> str:
-        return normalize_name(self.name)
+    def __post_init__(self):
+        norm = normalize_name(self.name)
+        self.norm_name = self.name if norm == self.name else sys.intern(norm)
 
 
 @dataclass

@@ -119,16 +119,29 @@ def transitive_closure(pairs, scope) -> list[set[str]]:
     return list(groups.values())
 
 
+def baseline_scores(kind: str, ds: Dataset, refs, ctx: SimilarityContext
+                    ) -> dict[frozenset, float]:
+    """Score of each blocked reference pair: its attribute similarity for
+    the A baselines, mixed with ``_nr_relational_term`` by alpha for NR."""
+    nr = kind.startswith("NR")
+    alpha = ctx.cfg.alpha
+    scores = {}
+    for pair in block_candidates(ds, refs, ctx):
+        a, b = tuple(pair)
+        score = ctx.ref_attribute_sim(a, b)
+        if nr:
+            score = ((1 - alpha) * score
+                     + alpha * _nr_relational_term(ds, ctx, a, b))
+        scores[pair] = score
+    return scores
+
+
 def baseline_a_pairs(ds: Dataset, refs, ctx: SimilarityContext,
                      threshold: float) -> set[frozenset]:
     """Blocked reference pairs whose attribute similarity clears the
     threshold."""
-    accepted = set()
-    for pair in block_candidates(ds, refs, ctx):
-        a, b = tuple(pair)
-        if ctx.ref_attribute_sim(a, b) >= threshold:
-            accepted.add(pair)
-    return accepted
+    return {p for p, s in baseline_scores("A", ds, refs, ctx).items()
+            if s >= threshold}
 
 
 def _nr_relational_term(ds: Dataset, ctx: SimilarityContext,
@@ -160,30 +173,36 @@ def _nr_relational_term(ds: Dataset, ctx: SimilarityContext,
 
 def baseline_nr_pairs(ds: Dataset, refs, ctx: SimilarityContext,
                       threshold: float) -> set[frozenset]:
-    accepted = set()
-    alpha = ctx.cfg.alpha
-    for pair in block_candidates(ds, refs, ctx):
-        a, b = tuple(pair)
-        score = ((1 - alpha) * ctx.ref_attribute_sim(a, b)
-                 + alpha * _nr_relational_term(ds, ctx, a, b))
-        if score >= threshold:
-            accepted.add(pair)
-    return accepted
+    return {p for p, s in baseline_scores("NR", ds, refs, ctx).items()
+            if s >= threshold}
 
 
-def evaluate_baseline(kind: str, ds: Dataset, refs, cfg: SimilarityConfig,
-                      threshold: float, gold: GoldLabeling) -> PairwiseMetrics:
+def threshold_sweep(kind: str, ds: Dataset, refs, cfg: SimilarityConfig,
+                    thresholds, gold: GoldLabeling
+                    ) -> dict[float, PairwiseMetrics]:
+    """Metrics of one resolver at each threshold.  A baseline blocks and
+    scores its pairs once and thresholds the stored scores; RC-ER clusters
+    once and replays (``rcer_threshold_sweep``)."""
     if kind not in BASELINE_KINDS:
         raise ValueError(f"unknown baseline kind: {kind}")
     scope = {r if isinstance(r, str) else r.id for r in refs}
     if kind == "RCER":
-        result = run_rcer(ds, scope, replace(cfg, merge_threshold=threshold))
-        return pairwise_metrics(result.as_partition(), gold, scope)
-    pair_fn = baseline_nr_pairs if kind.startswith("NR") else baseline_a_pairs
-    pairs = pair_fn(ds, scope, SimilarityContext(ds, cfg), threshold)
-    if kind.endswith("_star"):
-        return pairwise_metrics(transitive_closure(pairs, scope), gold, scope)
-    return pairwise_metrics_from_pairs(pairs, gold, scope)
+        return rcer_threshold_sweep(ds, scope, cfg, thresholds, gold)
+    scores = baseline_scores(kind, ds, scope, SimilarityContext(ds, cfg))
+    out = {}
+    for t in thresholds:
+        pairs = [p for p, s in scores.items() if s >= t]
+        out[t] = (pairwise_metrics(transitive_closure(pairs, scope), gold,
+                                   scope)
+                  if kind.endswith("_star")
+                  else pairwise_metrics_from_pairs(pairs, gold, scope))
+    return out
+
+
+def evaluate_baseline(kind: str, ds: Dataset, refs, cfg: SimilarityConfig,
+                      threshold: float, gold: GoldLabeling) -> PairwiseMetrics:
+    """Metrics of one resolver at one threshold."""
+    return threshold_sweep(kind, ds, refs, cfg, [threshold], gold)[threshold]
 
 
 def best_f1_over_thresholds(resolver, thresholds) -> tuple[float, PairwiseMetrics]:
@@ -201,9 +220,11 @@ def best_f1_over_thresholds(resolver, thresholds) -> tuple[float, PairwiseMetric
 
 def rcer_threshold_sweep(ds: Dataset, refs, cfg: SimilarityConfig,
                          thresholds, gold: GoldLabeling, **rcer_kwargs):
-    """One unthresholded clustering run replayed at each threshold."""
+    """One clustering run, recorded at the lowest threshold and replayed
+    at each."""
     scope = {r if isinstance(r, str) else r.id for r in refs}
-    result = run_rcer(ds, scope, replace(cfg, merge_threshold=0.0),
+    result = run_rcer(ds, scope,
+                      replace(cfg, merge_threshold=min(thresholds)),
                       **rcer_kwargs)
     out = {}
     for t in thresholds:

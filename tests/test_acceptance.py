@@ -248,10 +248,9 @@ def test_criterion_08_collective_vs_attribute_baseline():
         sweep = evalkit.rcer_threshold_sweep(out.dataset, refs, SYNTH_CFG,
                                              FINE_SWEEP, out.gold)
         f1_rcer = max(m.f1 for m in sweep.values())
-        _, m_a = evalkit.best_f1_over_thresholds(
-            lambda t: evalkit.evaluate_baseline("A", out.dataset, refs,
-                                                SYNTH_CFG, t, out.gold),
-            FINE_SWEEP)
+        sweep_a = evalkit.threshold_sweep("A", out.dataset, refs,
+                                          SYNTH_CFG, FINE_SWEEP, out.gold)
+        _, m_a = evalkit.best_f1_over_thresholds(sweep_a.get, FINE_SWEEP)
         wins += f1_rcer >= m_a.f1
         gaps.append(f1_rcer - m_a.f1)
 
@@ -274,9 +273,9 @@ def test_criterion_08_collective_vs_attribute_baseline():
     refs = set(ds.references)
     sweep = evalkit.rcer_threshold_sweep(ds, refs, SYNTH_CFG, FINE_SWEEP, gold)
     crafted_rcer = max(m.f1 for m in sweep.values())
-    _, crafted_a = evalkit.best_f1_over_thresholds(
-        lambda t: evalkit.evaluate_baseline("A", ds, refs, SYNTH_CFG, t, gold),
-        FINE_SWEEP)
+    sweep_a = evalkit.threshold_sweep("A", ds, refs, SYNTH_CFG, FINE_SWEEP,
+                                      gold)
+    _, crafted_a = evalkit.best_f1_over_thresholds(sweep_a.get, FINE_SWEEP)
     elapsed = time.perf_counter() - t0
     ok = wins == 5 and crafted_rcer < crafted_a.f1
     detail = (f"identifying-rich: collective wins {wins}/5 seeds "

@@ -72,6 +72,14 @@ def test_query_sweep_reports_f1(records_file, gold_file, capsys):
     assert "# f1:" in err
 
 
+def test_query_sweep_requires_gold(records_file, capsys):
+    assert main(["query", "W. Wang", "--records", records_file,
+                 "--sweep"]) == 2
+    captured = capsys.readouterr()
+    assert "error: --sweep requires --gold" in captured.err
+    assert not captured.out
+
+
 def test_query_no_match(records_file, capsys):
     assert main(["query", "Z. Zobrist", "--records", records_file]) == 0
     assert "empty answer" in capsys.readouterr().out
@@ -88,6 +96,20 @@ def test_synth_roundtrip(tmp_path, capsys):
     labeling = corpus.load_gold(gold)
     assert set(labeling.assignments) == set(ds.references)
     assert len(ds.hyperedges) == 50
+
+
+def test_synth_seed_is_the_subcommand_option(tmp_path, capsys):
+    def synth(*argv):
+        records = tmp_path / "synth.jsonl"
+        rc = main([*argv, "--entities", "20", "--relationships", "40",
+                   "--hyperedges", "50", "--records-out", str(records),
+                   "--gold-out", str(tmp_path / "gold.txt")])
+        return rc, records.read_text()
+
+    assert synth("synth", "--seed", "5")[1] != synth("synth", "--seed", "0")[1]
+    with pytest.raises(SystemExit) as exc:
+        synth("--seed", "5", "synth")
+    assert exc.value.code == 2
 
 
 def test_eval_row_format(records_file, gold_file, capsys):
@@ -178,5 +200,28 @@ def test_eval_rcer_sweep_clusters_once(synth_files, monkeypatch, capsys):
     t, m = evalkit.best_f1_over_thresholds(
         lambda t: evalkit.evaluate_baseline(
             "RCER", ds, set(ds.references), DEFAULT_CFG, t,
+            corpus.load_gold(gold)), SWEEP)
+    assert (fields["threshold"], fields["f1"]) == (f"{t:.3f}", f"{m.f1:.4f}")
+
+
+@pytest.mark.parametrize("baseline", ["A", "A*", "NR", "NR*"])
+def test_eval_baseline_sweep_scores_once(synth_files, baseline, monkeypatch,
+                                         capsys):
+    records, gold = synth_files
+    calls = []
+    block = evalkit.block_candidates
+    monkeypatch.setattr(evalkit, "block_candidates",
+                        lambda *a, **k: calls.append(1) or block(*a, **k))
+    assert main(["eval", "--records", records, "--name-mode", "numeric",
+                 "--gold", gold, "--baseline", baseline, "--sweep"]) == 0
+    assert len(calls) == 1
+    fields = dict(kv.split("=")
+                  for kv in capsys.readouterr().out.strip().split("\t"))
+    # the same pick as blocking and scoring afresh at every threshold
+    ds = corpus.ingest_file(records, name_mode="numeric")
+    kind = baseline.replace("*", "_star")
+    t, m = evalkit.best_f1_over_thresholds(
+        lambda t: evalkit.evaluate_baseline(
+            kind, ds, set(ds.references), DEFAULT_CFG, t,
             corpus.load_gold(gold)), SWEEP)
     assert (fields["threshold"], fields["f1"]) == (f"{t:.3f}", f"{m.f1:.4f}")

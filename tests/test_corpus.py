@@ -1,16 +1,25 @@
+import hashlib
 import json
+import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
+import qer.corpus
+import qer.expansion
+import qer.similarity
+from qer import rcer, synthgen
 from qer.corpus import (
     GoldLabeling,
     IngestError,
     SNAPSHOT_HEADER,
     Query,
+    Reference,
     blocking_key,
     first_initial,
     ingest,
+    ingest_file,
     last_name,
     load_gold,
     load_snapshot,
@@ -31,6 +40,16 @@ def test_normalize_name():
 @given(st.text(max_size=40))
 def test_normalize_idempotent(s):
     assert normalize_name(normalize_name(s)) == normalize_name(s)
+
+
+@given(st.text(st.sampled_from("aB. \t\n\x1c\x85\xa0\u2003\u3000İ"), max_size=40)
+       | st.text(max_size=40))
+def test_normalize_matches_regex_split(s):
+    # the regex form of the rule: split the stripped, lowercased name on
+    # runs of whitespace
+    tokens = re.split(r"\s+", s.strip().lower())
+    assert normalize_name(s) == " ".join(t.rstrip(".") for t in tokens
+                                         if t.rstrip("."))
 
 
 def test_name_parts():
@@ -150,3 +169,100 @@ def test_malformed_snapshot_raises_ingest_error(tmp_path, payload):
     path.write_text(SNAPSHOT_HEADER + "\n" + payload)
     with pytest.raises(IngestError, match="snapshot"):
         load_snapshot(path)
+
+
+FIRST = "adam alice ben carla david elena farid grace hugo irene".split()
+LAST = ["wang"] + [a + b for a in ("ka", "lo", "mi", "ne", "ru", "sa", "te")
+                   for b in ("bor", "den", "gan", "lis", "mot", "rek")]
+
+
+def _text_records(n_pubs=450, seed=0):
+    """Records of 2-3 authors drawn from a pool of 430 names, written as
+    "F. Last" or "First  Last" (so most raw names are not normalized)."""
+    rng = random.Random(seed)
+    records = []
+    for i in range(n_pubs):
+        authors = []
+        for _ in range(rng.choice((2, 3))):
+            first, last = rng.choice(FIRST), rng.choice(LAST).title()
+            authors.append(f"{first[0].upper()}. {last}" if rng.random() < 0.6
+                           else f"{first.title()}  {last}")
+        records.append({"pub_id": f"p{i}", "authors": authors})
+    return records
+
+
+@pytest.fixture
+def normalize_calls(monkeypatch):
+    """Counts calls through every module binding of ``normalize_name``."""
+    calls = []
+    for module in (qer.corpus, qer.similarity, qer.expansion):
+        monkeypatch.setattr(
+            module, "normalize_name",
+            lambda name: calls.append(name) or normalize_name(name))
+    return calls
+
+
+def test_names_normalized_once_per_reference(normalize_calls):
+    ds = ingest(_text_records())
+    assert len(ds) >= 1000
+    assert len(normalize_calls) == len(ds)
+    normalize_calls.clear()
+    params = qer.expansion.ExpansionParams(d_star=3, delta=0.9, h_max=4,
+                                           a_max=0.2)
+    cfg = qer.similarity.SimilarityConfig(alpha=0.5, epsilon=0.9, delta=0.9,
+                                          merge_threshold=0.3)
+    answer = rcer.resolve(ds, Query("A. Wang"), params, cfg)
+    assert answer.rset.levels[0]
+    # reading the stored names costs nothing: the calls left are the
+    # query's own value and the name similarity of the relevant set
+    assert len(normalize_calls) < len(ds)
+
+
+def _built_datasets(tmp_path):
+    text = _text_records(n_pubs=40)
+    numeric = synthgen.generate(synthgen.GenParams(
+        n_entities=20, n_relationships=40, n_hyperedges=60, seed=1))
+    padded = [{"pub_id": "q", "authors": [" 1.50", "2.0 ", "-3.25"]}]
+    out = {"ingest text": ingest(text),
+           "ingest numeric": ingest(padded, name_mode="numeric"),
+           "synthgen": numeric.dataset}
+    path = tmp_path / "records.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in text))
+    out["ingest_file text"] = ingest_file(path)
+    path = tmp_path / "numeric.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in numeric.records))
+    out["ingest_file numeric"] = ingest_file(path, name_mode="numeric")
+    for key in ("ingest text", "synthgen"):
+        path = tmp_path / "snap.txt"
+        save_snapshot(out[key], path)
+        out[f"load_snapshot {out[key].name_mode}"] = load_snapshot(path)
+    return out
+
+
+def test_stored_name_is_normalized_name(tmp_path):
+    built = _built_datasets(tmp_path)
+    assert len(built) == 7
+    for how, ds in built.items():
+        assert ds.references, how
+        for r in ds.references.values():
+            assert r.norm_name == normalize_name(r.name), (how, r.name)
+    # equal names share one string: a normalized name is stored as itself,
+    # the others are interned
+    for r in built["synthgen"].references.values():
+        assert r.norm_name is r.name
+    by_name = {}
+    for r in built["ingest text"].references.values():
+        assert by_name.setdefault(r.norm_name, r.norm_name) is r.norm_name
+
+
+def test_snapshot_bytes_unchanged(corpus_ds, tmp_path):
+    path = tmp_path / "snap.txt"
+    save_snapshot(corpus_ds, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "bb344bb51172878695e32b67e53ccd8d4e84770cc136be4dbed1fa5f3797b23a")
+
+
+def test_reference_repr_hides_norm_name():
+    r = Reference(id="r1", name="W.  Wang")
+    assert r.norm_name == "w wang"
+    assert "norm_name" not in repr(r) and "w wang" not in repr(r)

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import os
 import random
 import subprocess
@@ -15,6 +17,7 @@ from qer.evalkit import (
     pairwise_metrics,
     pairwise_metrics_from_pairs,
     run_trend_experiment,
+    threshold_sweep,
     transitive_closure,
 )
 from qer.similarity import SimilarityConfig, SimilarityContext
@@ -214,6 +217,22 @@ def test_trend_report_shape():
     assert header == "setting\tthreshold\tmean\tstddev\tn_runs"
     with pytest.raises(ValueError):
         run_trend_experiment("bogus", [1], range(1), base, cfg)
+
+
+def test_baseline_sweeps_pinned():
+    # (tp, fp, fn) of the four attribute baselines over the CLI's 21-point
+    # grid, computed by scoring afresh at each threshold
+    from qer.cli import DEFAULT_CFG, SWEEP
+    out = synthgen.generate(synthgen.GenParams(seed=3))
+    refs = set(out.dataset.references)
+    rows = []
+    for kind in ("A", "A_star", "NR", "NR_star"):
+        sweep = threshold_sweep(kind, out.dataset, refs, DEFAULT_CFG, SWEEP,
+                                out.gold)
+        rows += [[kind, t, sweep[t].tp, sweep[t].fp, sweep[t].fn]
+                 for t in SWEEP]
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == (
+        "cc4ef2aebaab91b4a40279b6ad13b0e1322c0807d226c0e1797af01a51b3f9d7")
 
 
 _RCER_SEED3 = """
