@@ -36,10 +36,7 @@ def _emit(args, groups, extra=None):
             print(json.dumps(extra))
     else:
         for g in groups:
-            if isinstance(g, dict):
-                print("\t".join(f"{k}={v}" for k, v in g.items()))
-            else:
-                print(" ".join(sorted(g)))
+            print(" ".join(sorted(g)))
         if extra:
             for k, v in extra.items():
                 print(f"# {k}: {v}", file=sys.stderr)

@@ -167,9 +167,6 @@ class Dataset:
                 if other != rid:
                     yield hid, other
 
-    def numeric_value(self, ref_id: str) -> float:
-        return float(self.references[ref_id].norm_name)
-
     def __len__(self):
         return len(self.references)
 
@@ -226,6 +223,8 @@ def ingest(records, name_mode: str = "text") -> Dataset:
         authors = rec.get("authors")
         if not authors:
             raise IngestError(f"{where} ({pub_id}): no authors")
+        if not isinstance(authors, list):
+            raise IngestError(f"{where} ({pub_id}): authors is not a list")
         shared = {
             k: str(v)
             for k, v in rec.items()
@@ -362,12 +361,19 @@ def save_gold(gold: GoldLabeling, path):
 
 
 def load_gold(path) -> GoldLabeling:
+    """Read "reference-id entity-id" lines; each reference at most once."""
     assignments = {}
     with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line:
+        for lineno, line in enumerate(f, 1):
+            fields = line.split()
+            if not fields:
                 continue
-            rid, eid = line.split()
+            if len(fields) != 2:
+                raise IngestError(f"gold line {lineno}: expected "
+                                  f"'reference entity', got {line.strip()!r}")
+            rid, eid = fields
+            if rid in assignments:
+                raise IngestError(f"gold line {lineno}: reference {rid!r} "
+                                  "listed twice")
             assignments[rid] = eid
     return GoldLabeling(assignments)

@@ -136,14 +136,6 @@ def baseline_scores(kind: str, ds: Dataset, refs, ctx: SimilarityContext
     return scores
 
 
-def baseline_a_pairs(ds: Dataset, refs, ctx: SimilarityContext,
-                     threshold: float) -> set[frozenset]:
-    """Blocked reference pairs whose attribute similarity clears the
-    threshold."""
-    return {p for p, s in baseline_scores("A", ds, refs, ctx).items()
-            if s >= threshold}
-
-
 def _nr_relational_term(ds: Dataset, ctx: SimilarityContext,
                         r1: str, r2: str) -> float:
     """Best-match (greedy one-to-one) average name similarity between the
@@ -171,12 +163,6 @@ def _nr_relational_term(ds: Dataset, ctx: SimilarityContext,
     return total / min(len(n1), len(n2))
 
 
-def baseline_nr_pairs(ds: Dataset, refs, ctx: SimilarityContext,
-                      threshold: float) -> set[frozenset]:
-    return {p for p, s in baseline_scores("NR", ds, refs, ctx).items()
-            if s >= threshold}
-
-
 def threshold_sweep(kind: str, ds: Dataset, refs, cfg: SimilarityConfig,
                     thresholds, gold: GoldLabeling
                     ) -> dict[float, PairwiseMetrics]:
@@ -185,7 +171,7 @@ def threshold_sweep(kind: str, ds: Dataset, refs, cfg: SimilarityConfig,
     once and replays (``rcer_threshold_sweep``)."""
     if kind not in BASELINE_KINDS:
         raise ValueError(f"unknown baseline kind: {kind}")
-    scope = {r if isinstance(r, str) else r.id for r in refs}
+    scope = set(refs)
     if kind == "RCER":
         return rcer_threshold_sweep(ds, scope, cfg, thresholds, gold)
     scores = baseline_scores(kind, ds, scope, SimilarityContext(ds, cfg))
@@ -222,7 +208,7 @@ def rcer_threshold_sweep(ds: Dataset, refs, cfg: SimilarityConfig,
                          thresholds, gold: GoldLabeling, **rcer_kwargs):
     """One clustering run, recorded at the lowest threshold and replayed
     at each."""
-    scope = {r if isinstance(r, str) else r.id for r in refs}
+    scope = set(refs)
     result = run_rcer(ds, scope,
                       replace(cfg, merge_threshold=min(thresholds)),
                       **rcer_kwargs)

@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .corpus import (Dataset, Query, Reference, finite_number, first_initial,
-                     last_name, normalize_name)
+from .corpus import (Dataset, Query, finite_number, first_initial, last_name,
+                     normalize_name)
 from .similarity import delta_neighbours
 
 
@@ -50,10 +50,6 @@ class RelevantSet:
         return out
 
 
-def _ids(ds: Dataset, refs) -> set[str]:
-    return {r.id if isinstance(r, Reference) else r for r in refs}
-
-
 def x_a(ds: Dataset, value: str, delta: float = 0.0) -> set[str]:
     """References whose name matches ``value`` exactly or passes the liberal
     (delta) rule with it; a non-finite numeric value raises ``ValueError``."""
@@ -67,16 +63,15 @@ def x_a(ds: Dataset, value: str, delta: float = 0.0) -> set[str]:
     return out
 
 
-def x_h(ds: Dataset, refs) -> set[str]:
+def x_h(ds: Dataset, refs: set[str]) -> set[str]:
     """References co-occurring with the input set, the input set excluded."""
-    ids = _ids(ds, refs)
-    return {other for rid in ids for _, other in ds.cooccurrences(rid)} - ids
+    return {other for rid in refs for _, other in ds.cooccurrences(rid)} - refs
 
 
 def x_a_exact(ds: Dataset, refs) -> set[str]:
     """All references sharing an exact normalized name with the input set."""
     out: set[str] = set()
-    for rid in _ids(ds, refs):
+    for rid in refs:
         out |= ds.name_index[ds.references[rid].norm_name]
     return out
 
@@ -87,52 +82,42 @@ class AmbiguityEstimator:
     The naive estimate is the fraction of all references carrying the name;
     the conditional estimate (used when a secondary attribute is available,
     here the first initial given the last name) counts distinct secondary
-    values instead.  mu_r is the average number of references per distinct
-    name, used to forecast exact-expansion growth.
+    values instead.  Both take normalized names.
     """
 
-    def __init__(self, ds: Dataset, use_secondary: bool | None = None):
-        self.numeric = ds.name_mode == "numeric"
+    def __init__(self, ds: Dataset, use_secondary: bool = True):
+        numeric = ds.name_mode == "numeric"
         self.total = len(ds.references)
         self.name_counts: dict[str, int] = {
             n: len(ids) for n, ids in ds.name_index.items()
         }
         self.initials_by_last: dict[str, set[str]] = {}
-        if not self.numeric:
+        if not numeric:
             for r in ds.references.values():
                 ln = last_name(r.norm_name)
                 fi = first_initial(r.norm_name)
                 if ln and fi:
                     self.initials_by_last.setdefault(ln, set()).add(fi)
-        if use_secondary is None:
-            use_secondary = not self.numeric
-        self.use_secondary = use_secondary and not self.numeric
-        distinct = max(len(self.name_counts), 1)
-        self.mu_r = self.total / distinct
+        self.use_secondary = use_secondary and not numeric
 
     def estimate(self, value: str) -> float:
         if self.total == 0:
             return 0.0
-        if self.numeric:
-            return self.name_counts.get(value, 0) / self.total
-        value = normalize_name(value)
         if self.use_secondary:
             initials = self.initials_by_last.get(last_name(value), set())
             return len(initials) / self.total
         return self.name_counts.get(value, 0) / self.total
 
     def distinct_initials(self, value: str) -> int:
-        if self.numeric:
-            return 0
-        ln = last_name(normalize_name(value))
-        return len(self.initials_by_last.get(ln, set()))
+        return len(self.initials_by_last.get(last_name(value), set()))
 
 
 def adaptive_depth(est: AmbiguityEstimator, query: Query,
                    params: ExpansionParams) -> int:
     """Depth 1 suffices for query names whose last name shows few distinct
     first initials in the corpus (low-ambiguity names)."""
-    if est.distinct_initials(query.value) < params.initials_cutoff:
+    if est.distinct_initials(normalize_name(query.value)) \
+            < params.initials_cutoff:
         return 1
     return params.d_star
 
@@ -146,7 +131,6 @@ def adaptive_x_h(ds: Dataset, frontier, h_max: float,
                  est: AmbiguityEstimator) -> set[str]:
     """The k least-ambiguous co-occurring references, k = floor(h_max *
     |frontier|); ties by name then id."""
-    frontier = _ids(ds, frontier)
     k = int(h_max * len(frontier))
     full = x_h(ds, frontier)
     if len(full) <= k:
@@ -159,7 +143,6 @@ def adaptive_x_a(ds: Dataset, frontier, a_max: float,
                  est: AmbiguityEstimator) -> set[str]:
     """Exact-name expansion of only the k most-ambiguous frontier
     references, k = ceil(a_max * |frontier|)."""
-    frontier = _ids(ds, frontier)
     if not frontier:
         return set()
     k = math.ceil(a_max * len(frontier))

@@ -29,7 +29,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .corpus import Dataset, Query, Reference, name_buckets
+from .corpus import Dataset, Query, name_buckets
 from .expansion import ExpansionParams, RelevantSet, build_relevant_set
 from .similarity import (
     SimilarityConfig,
@@ -43,11 +43,10 @@ from .similarity import (
 def block_candidates(ds: Dataset, refs, ctx: SimilarityContext) -> set[frozenset]:
     """Unordered reference-id pairs whose names pass the liberal (delta)
     rule, found with ``similarity.delta_neighbours`` among the names of
-    the given references."""
+    the given reference ids."""
     by_name: dict[str, list[str]] = {}
-    for r in refs:
-        r = r if isinstance(r, Reference) else ds.references[r]
-        by_name.setdefault(r.norm_name, []).append(r.id)
+    for rid in refs:
+        by_name.setdefault(ds.references[rid].norm_name, []).append(rid)
     buckets = name_buckets(by_name, ctx.numeric)
     pairs: set[frozenset] = set()
     for n1, ids1 in by_name.items():
@@ -60,19 +59,18 @@ def block_candidates(ds: Dataset, refs, ctx: SimilarityContext) -> set[frozenset
 
 def bootstrap(ds: Dataset, refs, mode: str = "singleton",
               ambiguity=None, ambiguity_cutoff: float = 0.0) -> list[list[str]]:
-    """Initial partition.  Default is one singleton per reference; the
-    exact-name mode pre-merges references sharing a normalized name whose
-    estimated ambiguity falls below the cutoff."""
-    ids = [r.id if isinstance(r, Reference) else r for r in refs]
+    """Initial partition of the reference ids.  Default is one singleton
+    per reference; the exact-name mode pre-merges references sharing a
+    normalized name whose estimated ambiguity falls below the cutoff."""
     if mode == "singleton":
-        return [[rid] for rid in ids]
+        return [[rid] for rid in refs]
     if mode != "exact-name":
         raise ValueError(f"unknown bootstrap mode: {mode}")
     if ambiguity is None:
         raise ValueError("exact-name bootstrap needs an ambiguity estimate")
     groups: dict[str, list[str]] = {}
     order: list[str] = []
-    for rid in ids:
+    for rid in refs:
         name = ds.references[rid].norm_name
         if name not in groups:
             order.append(name)
@@ -90,16 +88,12 @@ def bootstrap(ds: Dataset, refs, mode: str = "singleton",
 @dataclass
 class RcerResult:
     clusters: list[frozenset]
-    labels: dict[str, int]
     merge_log: list[tuple]  # (sim, c1, c2, new_id)
     stopped_reason: str
     merge_threshold: float  # the log is complete down to this similarity
     initial_clusters: list[tuple] = field(default_factory=list)  # (id, members)
     heap_pushes: int = 0  # merge-loop counters
     stale_pops: int = 0  # popped entries of retired clusters or old scores
-
-    def as_partition(self) -> list[set[str]]:
-        return [set(c) for c in self.clusters]
 
 
 class ClusterState:
@@ -159,7 +153,7 @@ class ClusterState:
     def rel_sim(self, c1: int, c2: int) -> float:
         if self.ctx.cfg.multiset_neighborhood:
             return jaccard(self.nbr[c1], self.nbr[c2])
-        return jaccard(set(self.nbr[c1]), set(self.nbr[c2]))
+        return jaccard(self.nbr[c1].keys(), self.nbr[c2].keys())
 
     def combined(self, c1: int, c2: int) -> float:
         alpha = self.ctx.cfg.alpha
@@ -194,7 +188,7 @@ class ClusterState:
 def run_rcer(ds: Dataset, refs, cfg: SimilarityConfig,
              bootstrap_mode: str = "singleton",
              ambiguity=None, ambiguity_cutoff: float = 0.0) -> RcerResult:
-    """Cluster the given references; see the module docstring.
+    """Cluster the given reference ids; see the module docstring.
 
     The references are taken in sorted id order, so cluster ids, and with
     them the tie-breaks between equal scores, do not depend on the order
@@ -203,7 +197,7 @@ def run_rcer(ds: Dataset, refs, cfg: SimilarityConfig,
     lets a threshold sweep replay one run recorded at a low threshold
     instead of re-clustering per threshold.
     """
-    ref_ids = sorted(r.id if isinstance(r, Reference) else r for r in refs)
+    ref_ids = sorted(refs)
     if not ref_ids:
         raise ValueError("no references to cluster")
     ctx = SimilarityContext(ds, cfg)
@@ -275,7 +269,6 @@ def run_rcer(ds: Dataset, refs, cfg: SimilarityConfig,
     clusters = [frozenset(state.members[cid]) for cid in sorted(state.members)]
     return RcerResult(
         clusters=clusters,
-        labels=dict(state.labels),
         merge_log=merge_log,
         stopped_reason=stopped_reason,
         merge_threshold=cfg.merge_threshold,

@@ -106,8 +106,8 @@ def jaro(s1: str, s2: str) -> float:
 
 
 def jaro_winkler(s1: str, s2: str) -> float:
-    """Jaro with the standard prefix boost (prefix <= 4, scale 0.1)."""
-    s1, s2 = normalize_name(s1), normalize_name(s2)
+    """Jaro with the standard prefix boost (prefix <= 4, scale 0.1) of two
+    normalized names or tokens."""
     j = jaro(s1, s2)
     prefix = 0
     for a, b in zip(s1, s2):
@@ -140,8 +140,7 @@ def _tfidf_vector(tokens, stats: CorpusStats) -> dict[str, float]:
     return {t: v / norm for t, v in vec.items()}
 
 
-def soft_tfidf(tokens1, tokens2, stats: CorpusStats,
-               threshold: float = SOFT_TFIDF_THRESHOLD) -> float:
+def soft_tfidf(tokens1, tokens2, stats: CorpusStats) -> float:
     """Greedy one-to-one Soft TF-IDF; symmetric and bounded in [0, 1]."""
     v1 = _tfidf_vector(tokens1, stats)
     v2 = _tfidf_vector(tokens2, stats)
@@ -151,7 +150,7 @@ def soft_tfidf(tokens1, tokens2, stats: CorpusStats,
     for t1 in v1:
         for t2 in v2:
             s = 1.0 if t1 == t2 else jaro_winkler(t1, t2)
-            if s >= threshold:
+            if s >= SOFT_TFIDF_THRESHOLD:
                 candidates.append((s, t1, t2))
     candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
     used1, used2 = set(), set()
@@ -171,9 +170,9 @@ def numeric_sim(x1: float, x2: float) -> float:
 
 def name_sim(n1: str, n2: str, stats: CorpusStats | None = None,
              numeric: bool = False) -> float:
+    """Similarity of two normalized names."""
     if numeric:
         return numeric_sim(float(n1), float(n2))
-    n1, n2 = normalize_name(n1), normalize_name(n2)
     if n1 == n2:
         return 1.0
     if stats is None:
@@ -228,8 +227,7 @@ class SimilarityContext:
         self._name_cache: dict[tuple[str, str], float] = {}
 
     def name_sim(self, n1: str, n2: str) -> float:
-        if not self.numeric:
-            n1, n2 = normalize_name(n1), normalize_name(n2)
+        """``name_sim`` of two normalized names, cached per pair."""
         if n1 == n2:
             return 1.0
         key = (n1, n2) if n1 < n2 else (n2, n1)
@@ -299,15 +297,14 @@ def representative(values, numeric: bool = False) -> str:
 
 
 def jaccard(a, b) -> float:
-    """Jaccard overlap for sets or Counters; empty-vs-empty is 0."""
-    if isinstance(a, Counter) or isinstance(b, Counter):
-        a = Counter(a) if not isinstance(a, Counter) else a
-        b = Counter(b) if not isinstance(b, Counter) else b
-        inter = sum((a & b).values())
-        union = sum((a | b).values())
+    """Jaccard overlap of two sets (or set-like key views), or of two
+    Counters as multisets; empty-vs-empty is 0."""
+    if isinstance(a, Counter):
+        inter = (a & b).total()
+        union = a.total() + b.total() - inter
     else:
         inter = len(a & b)
-        union = len(a | b)
+        union = len(a) + len(b) - inter
     return inter / union if union else 0.0
 
 

@@ -54,7 +54,7 @@ def _best_running_example_answer(ds, gold, text_cfg, alpha):
                              delta=text_cfg.delta, merge_threshold=t),
             bootstrap_mode="exact-name", ambiguity=ambiguity,
             ambiguity_cutoff=2)
-        answer = [frozenset(c & scope) for c in result.as_partition()
+        answer = [frozenset(c & scope) for c in result.clusters
                   if c & scope]
         m = evalkit.pairwise_metrics(answer, gold, scope)
         if best is None or m.f1 > best[0].f1:

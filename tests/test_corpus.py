@@ -37,13 +37,19 @@ def test_normalize_name():
     assert normalize_name("ANSARI, A.") == "ansari, a"
 
 
-@given(st.text(max_size=40))
+raw_names = (st.text(st.sampled_from("aB. \t\n\x1c\x85\xa0\u2003\u3000İ"),
+                     max_size=40)
+             | st.text(max_size=40))
+
+
+@given(raw_names)
 def test_normalize_idempotent(s):
+    # similarity takes stored names as they are: normalizing them again
+    # would change nothing
     assert normalize_name(normalize_name(s)) == normalize_name(s)
 
 
-@given(st.text(st.sampled_from("aB. \t\n\x1c\x85\xa0\u2003\u3000İ"), max_size=40)
-       | st.text(max_size=40))
+@given(raw_names)
 def test_normalize_matches_regex_split(s):
     # the regex form of the rule: split the stripped, lowercased name on
     # runs of whitespace
@@ -79,6 +85,16 @@ def test_ingest_rejects_missing_fields():
         ingest([{"pub_id": "p", "authors": []}])
     with pytest.raises(IngestError, match="name"):
         ingest([{"pub_id": "p", "authors": [{"id": "x"}]}])
+
+
+@pytest.mark.parametrize("authors", ["Wang", {"W. Wang": 1, "C. Chen": 2}])
+def test_ingest_rejects_authors_that_are_not_a_list(authors):
+    # a string would ingest as one reference per letter, a mapping as
+    # its keys
+    records = [CORPUS_RECORDS[0], {"pub_id": "p1", "authors": authors}]
+    with pytest.raises(IngestError,
+                       match=r"record 1 \(p1\): authors is not a list"):
+        ingest(records)
 
 
 def test_record_level_fields_copied_to_refs():
@@ -131,11 +147,23 @@ def test_gold_roundtrip(tmp_path):
     assert not gold2.covers({"r1", "zz"})
 
 
+@pytest.mark.parametrize("text, match", [
+    ("r1 e1\nr2\n", "gold line 2: expected"),
+    ("r1 e1\n\nr2 e2 extra\n", "gold line 3: expected"),
+    ("r1 e1\nr2 e2\nr1 e3\n", "gold line 3: reference 'r1' listed twice"),
+])
+def test_malformed_gold_names_the_line(tmp_path, text, match):
+    path = tmp_path / "gold.txt"
+    path.write_text(text)
+    with pytest.raises(IngestError, match=match):
+        load_gold(path)
+
+
 def test_numeric_mode_indexes():
     ds = ingest([{"pub_id": "p", "authors": [
         {"id": "a", "name": "1.5"}, {"id": "b", "name": "12.0"}]}],
         name_mode="numeric")
-    assert ds.numeric_value("a") == 1.5
+    assert float(ds.references["a"].norm_name) == 1.5
     assert [x for x, _ in ds.name_buckets] == [1.5, 12.0]
 
 
@@ -212,10 +240,10 @@ def test_names_normalized_once_per_reference(normalize_calls):
     cfg = qer.similarity.SimilarityConfig(alpha=0.5, epsilon=0.9, delta=0.9,
                                           merge_threshold=0.3)
     answer = rcer.resolve(ds, Query("A. Wang"), params, cfg)
-    assert answer.rset.levels[0]
-    # reading the stored names costs nothing: the calls left are the
-    # query's own value and the name similarity of the relevant set
-    assert len(normalize_calls) < len(ds)
+    assert answer.rset.levels[0] and answer.result.merge_log
+    # stored names are read as they are: the one call left normalizes the
+    # query's own value
+    assert normalize_calls == ["A. Wang"]
 
 
 def _built_datasets(tmp_path):

@@ -10,8 +10,7 @@ import pytest
 
 from qer.corpus import GoldLabeling, ingest
 from qer.evalkit import (
-    baseline_a_pairs,
-    baseline_nr_pairs,
+    baseline_scores,
     best_f1_over_thresholds,
     evaluate_baseline,
     pairwise_metrics,
@@ -118,13 +117,22 @@ def test_baseline_a_threshold_extremes(corpus_ds, corpus_gold, ctx):
     refs = set(corpus_ds.references)
     from qer.rcer import block_candidates
     blocked = block_candidates(corpus_ds, refs, ctx)
-    assert baseline_a_pairs(corpus_ds, refs, ctx, 0.0) == blocked
-    assert baseline_a_pairs(corpus_ds, refs, ctx, 1.01) == set()
+    scores = baseline_scores("A", corpus_ds, refs, ctx)
+    assert set(scores) == blocked
+    assert all(0.0 <= s <= 1.0 for s in scores.values())
+    at_zero = evaluate_baseline("A", corpus_ds, refs, ctx.cfg, 0.0,
+                                corpus_gold)
+    assert at_zero.tp + at_zero.fp == len(blocked)
+    above_one = evaluate_baseline("A", corpus_ds, refs, ctx.cfg, 1.01,
+                                  corpus_gold)
+    assert above_one.tp + above_one.fp == 0
 
 
 def test_baseline_a_wang_pairs(corpus_ds, ctx):
     refs = set(corpus_ds.references)
-    accepted = baseline_a_pairs(corpus_ds, refs, ctx, ctx.cfg.epsilon)
+    accepted = {p for p, s in baseline_scores("A", corpus_ds, refs,
+                                              ctx).items()
+                if s >= ctx.cfg.epsilon}
     wangs = {"r1", "r4", "r8", "r9"}
     wang_accepted = {p for p in accepted if p <= wangs}
     assert wang_accepted == {frozenset(("r1", "r4")), frozenset(("r1", "r8")),
@@ -157,9 +165,13 @@ def test_nr_without_relations_reduces_to_attribute_term():
                            merge_threshold=0.5)
     ctx = SimilarityContext(ds, cfg)
     # (1-alpha)*1.0 = 0.5, relational term is 0; acceptance is inclusive
-    assert baseline_nr_pairs(ds, {"a", "b"}, ctx, 0.5) == \
-        {frozenset(("a", "b"))}
-    assert baseline_nr_pairs(ds, {"a", "b"}, ctx, 0.5 + 1e-9) == set()
+    assert baseline_scores("NR", ds, {"a", "b"}, ctx) == \
+        {frozenset(("a", "b")): 0.5}
+    gold = GoldLabeling({"a": "e", "b": "e"})
+    at = evaluate_baseline("NR", ds, {"a", "b"}, cfg, 0.5, gold)
+    assert (at.tp, at.fp, at.fn) == (1, 0, 0)
+    above = evaluate_baseline("NR", ds, {"a", "b"}, cfg, 0.5 + 1e-9, gold)
+    assert (above.tp, above.fp, above.fn) == (0, 0, 1)
 
 
 def test_transitive_closure_monotone(corpus_ds, corpus_gold, ctx):

@@ -30,14 +30,6 @@ def _run(name, *args):
     return proc.returncode, proc.stdout
 
 
-def test_run_scaling():
-    rc, out = _run("run_scaling", "--targets", "200", "400")
-    assert rc == 0
-    lines = out.splitlines()
-    assert lines[0] == "references\tseconds"
-    assert len(lines) == 4 and lines[-1].startswith("fitted log-log slope: ")
-
-
 def test_run_trend_experiments():
     rc, out = _run("run_trend_experiments", "pR_recall", "--seeds", "2",
                    "--entities", "20", "--relationships", "40",

@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qer.corpus import ingest
+from qer.corpus import ingest, normalize_name
 from qer.rcer import ClusterState
 from qer.similarity import (
     CorpusStats,
@@ -24,6 +24,7 @@ from qer.similarity import (
 from conftest import CORPUS_RECORDS
 
 names = st.text(alphabet="abcdefgh .", min_size=0, max_size=12)
+norm_names = names.map(normalize_name)
 
 
 def test_levenshtein_basics():
@@ -40,7 +41,7 @@ def test_jaro_winkler_known_value():
     assert jaro_winkler("wang", "li") == 0.0
 
 
-@given(names, names)
+@given(norm_names, norm_names)
 def test_jaro_winkler_symmetric_bounded(a, b):
     s = jaro_winkler(a, b)
     assert 0.0 <= s <= 1.0
@@ -85,7 +86,8 @@ def ctx(corpus_ds, text_cfg):
 
 
 def test_name_sim_fixtures(ctx):
-    assert ctx.name_sim("W. Wang", "W Wang") == 1.0
+    assert ctx.name_sim(normalize_name("W. Wang"),
+                        normalize_name("W Wang")) == 1.0
     # one shared exact token plus one 0.9+ fuzzy match
     assert ctx.name_sim("w wang", "w w wang") == pytest.approx(0.949, abs=2e-3)
     assert ctx.name_sim("w wang", "l li") == 0.0
@@ -98,7 +100,7 @@ def test_name_sim_orders_competitors(ctx):
     assert 0.0 <= far < close < 1.0
 
 
-@given(names, names)
+@given(norm_names, norm_names)
 @settings(max_examples=50)
 def test_soft_tfidf_symmetric_bounded(a, b):
     ds = ingest(CORPUS_RECORDS)
@@ -188,6 +190,23 @@ def test_jaccard_conventions():
     assert jaccard(set(), set()) == 0.0
     assert jaccard({1, 2}, {2, 3}) == pytest.approx(1 / 3)
     assert jaccard(Counter(a=2), Counter(a=1, b=1)) == pytest.approx(1 / 3)
+
+
+labels = st.lists(st.sampled_from("abcdef"), max_size=12)
+
+
+@given(labels, labels)
+def test_jaccard_equals_union_formula(x, y):
+    """``jaccard`` counts the union as |a| + |b| - |a & b|; it gives the
+    same float as dividing by the union built outright."""
+    a, b = set(x), set(y)
+    union = len(a | b)
+    assert jaccard(a, b) == (len(a & b) / union if union else 0.0)
+    assert jaccard(Counter(a).keys(), Counter(b).keys()) == jaccard(a, b)
+    ca, cb = Counter(x), Counter(y)
+    union = sum((ca | cb).values())
+    assert jaccard(ca, cb) == (sum((ca & cb).values()) / union
+                               if union else 0.0)
 
 
 def test_relational_sim_running_example(corpus_ds, text_cfg):

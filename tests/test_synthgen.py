@@ -144,7 +144,8 @@ def test_values_track_entity_attribute():
                              n_hyperedges=60, p_a=0.0, p_c=0.5, seed=9))
     for rid, eid in out.gold.assignments.items():
         x = out.world.entity(eid).x
-        assert abs(out.dataset.numeric_value(rid) - x) < 6.0  # ~6 sigma
+        value = float(out.dataset.references[rid].norm_name)
+        assert abs(value - x) < 6.0  # ~6 sigma
 
 
 @pytest.mark.parametrize("p_r_a, digest", [
