@@ -61,32 +61,18 @@ def estimate_attribute_probs(ds: Dataset, gold: GoldLabeling,
     return a_i, a_a
 
 
-def _has_identifying_witness(ds: Dataset, gold: GoldLabeling,
-                             ctx: SimilarityContext, r1: str, r2: str) -> bool:
-    """Some co-occurring partners of r1 and r2 are themselves a
-    liberal-similar same-entity pair (distinct from r1, r2)."""
+def _has_witness(ds: Dataset, gold: GoldLabeling, ctx: SimilarityContext,
+                 r1: str, r2: str, same_entity: bool) -> bool:
+    """Some co-occurring partners of r1 and r2 are a liberal-similar pair of
+    one entity (an identifying witness) or, without ``same_entity``, of two
+    (an ambiguous witness); one co-occurrence seen from both sides is not a
+    pair."""
     for h1, p1 in ds.cooccurrences(r1):
         n1 = ds.references[p1].norm_name
         for h2, p2 in ds.cooccurrences(r2):
-            if p1 == p2 and h1 == h2:
-                continue
-            if gold.entity_of(p1) != gold.entity_of(p2):
-                continue
-            if ctx.delta_similar(n1, ds.references[p2].norm_name):
-                return True
-    return False
-
-
-def _has_ambiguous_witness(ds: Dataset, gold: GoldLabeling,
-                           ctx: SimilarityContext, r1: str, r2: str) -> bool:
-    """Like the identifying witness, but the partner pair belongs to two
-    different entities while still looking liberal-similar."""
-    for h1, p1 in ds.cooccurrences(r1):
-        n1 = ds.references[p1].norm_name
-        for h2, p2 in ds.cooccurrences(r2):
-            if gold.entity_of(p1) == gold.entity_of(p2):
-                continue
-            if ctx.delta_similar(n1, ds.references[p2].norm_name):
+            if (gold.entity_of(p1) == gold.entity_of(p2)) == same_entity \
+                    and (h1, p1) != (h2, p2) \
+                    and ctx.delta_similar(n1, ds.references[p2].norm_name):
                 return True
     return False
 
@@ -106,7 +92,7 @@ def estimate_relational_probs(ds: Dataset, gold: GoldLabeling,
                  if ctx.delta_similar(name(r1), name(r2))]
         if not pairs:
             continue
-        hits = sum(_has_identifying_witness(ds, gold, ctx, r1, r2)
+        hits = sum(_has_witness(ds, gold, ctx, r1, r2, True)
                    for r1, r2 in pairs)
         r_i[e] = hits / len(pairs)
     r_a: dict[tuple[str, str], float] = {}
@@ -115,7 +101,7 @@ def estimate_relational_probs(ds: Dataset, gold: GoldLabeling,
                  if ctx.delta_similar(name(r1), name(r2))]
         if not pairs:
             continue
-        hits = sum(_has_ambiguous_witness(ds, gold, ctx, r1, r2)
+        hits = sum(_has_witness(ds, gold, ctx, r1, r2, False)
                    for r1, r2 in pairs)
         r_a[_pair_key(e1, e2)] = hits / len(pairs)
     return r_i, r_a

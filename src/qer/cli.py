@@ -83,10 +83,9 @@ def cmd_query(args) -> int:
     metrics = None
     if args.sweep:
         gold = corpus.load_gold(args.gold)
-        threshold, metrics = evalkit.best_f1_over_thresholds(
-            lambda t: evalkit.pairwise_metrics(answer.groups(t), gold,
-                                               answer.rset.levels[0]),
-            SWEEP)
+        sweep = evalkit.replay_sweep(answer.result, SWEEP, gold,
+                                     answer.rset.levels[0])
+        threshold, metrics = evalkit.best_f1_over_thresholds(sweep.get, SWEEP)
     groups = answer.groups(threshold if args.sweep else None)
     if args.ref_id:
         groups = [g for g in groups if args.ref_id in g]

@@ -4,16 +4,24 @@ Baselines: A scores reference pairs by attribute similarity alone and NR
 adds a best-match comparison of the pairs' co-occurring names; both are
 evaluated on raw pair decisions, while A* and NR* take the transitive
 closure of the accepted pairs first.
+
+Every sweep scores all its thresholds in one ordered pass over its
+decisions (``_ordered_sweep``): merge-log entries, or scored pairs from
+the highest score down, each adding to running pair counts.
 """
 
 from __future__ import annotations
 
+import numbers
 import statistics
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 from .corpus import Dataset, GoldLabeling, Query
 from .expansion import AmbiguityEstimator, ExpansionParams
-from .rcer import block_candidates, partition_at_threshold, resolve, run_rcer
+# partition_at_threshold is unused here; bench/tracing.py times it here
+from .rcer import (RcerResult, block_candidates,  # noqa: F401
+                   partition_at_threshold, resolve, run_rcer)
 from .similarity import SimilarityConfig, SimilarityContext
 from . import synthgen
 
@@ -30,28 +38,22 @@ class PairwiseMetrics:
     fn: int
 
 
-def _f1(p: float, r: float) -> float:
-    if p + r == 0:
-        return 0.0
-    return 2 * p * r / (p + r)
-
-
 def _metrics_from_counts(tp: int, fp: int, fn: int) -> PairwiseMetrics:
+    """An empty side has precision (or recall) 1; F1 is then 0 unless the
+    other side is empty too."""
     precision = tp / (tp + fp) if tp + fp else 1.0
     recall = tp / (tp + fn) if tp + fn else 1.0
-    f1 = _f1(precision, recall)
-    if (tp + fp == 0) != (tp + fn == 0):
-        # one side has pairs, the other none
-        f1 = 0.0 if tp == 0 else f1
+    f1 = 2 * precision * recall / (precision + recall) \
+        if precision + recall else 0.0
     return PairwiseMetrics(precision, recall, f1, tp, fp, fn)
 
 
+def _pairs_within(sizes) -> int:
+    return sum(n * (n - 1) // 2 for n in sizes)
+
+
 def _gold_pair_count(gold: GoldLabeling, scope: set[str]) -> int:
-    sizes: dict[str, int] = {}
-    for rid in scope:
-        e = gold.entity_of(rid)
-        sizes[e] = sizes.get(e, 0) + 1
-    return sum(n * (n - 1) // 2 for n in sizes.values())
+    return _pairs_within(Counter(map(gold.entity_of, scope)).values())
 
 
 def pairwise_metrics(pred, gold: GoldLabeling, scope: set[str]
@@ -82,23 +84,56 @@ def pairwise_metrics(pred, gold: GoldLabeling, scope: set[str]
     return _metrics_from_counts(tp, pred_pairs - tp, gold_pairs - tp)
 
 
-def pairwise_metrics_from_pairs(accepted, gold: GoldLabeling,
-                                scope: set[str]) -> PairwiseMetrics:
-    """Metrics over raw accepted pair decisions (no transitive closure)."""
-    tp = fp = 0
-    for pair in accepted:
-        a, b = tuple(pair)
-        if a not in scope or b not in scope:
-            continue
-        if gold.entity_of(a) == gold.entity_of(b):
-            tp += 1
-        else:
-            fp += 1
-    gold_pairs = _gold_pair_count(gold, scope)
-    return _metrics_from_counts(tp, fp, gold_pairs - tp)
+def _check_sweep(thresholds, gold: GoldLabeling, scope) -> list:
+    """The thresholds as a list, once each is known to be a number in
+    [0, 1] (not NaN) and the gold labels to cover ``scope``."""
+    ts = list(thresholds)
+    if not ts:
+        raise ValueError("no thresholds given")
+    for t in ts:
+        if not isinstance(t, numbers.Real) or not 0.0 <= t <= 1.0:
+            raise ValueError(f"threshold {t!r} is not a number in [0, 1]")
+    if not gold.covers(scope):
+        raise ValueError("gold labeling does not cover the evaluation scope")
+    return ts
 
 
-def transitive_closure(pairs, scope) -> list[set[str]]:
+def _ordered_sweep(steps, thresholds, gold_pairs: int, tp: int = 0,
+                   pred: int = 0) -> dict[float, PairwiseMetrics]:
+    """Metrics at each threshold from ``steps``, the (score, true pairs,
+    predicted pairs) each decision adds, in the order they are taken.  A
+    threshold takes every step before the first one scored below it; that
+    step only moves forward as the threshold falls, so the thresholds are
+    visited from high to low with one pointer."""
+    steps = iter(steps)
+    step = next(steps, None)
+    at = {}
+    for t in sorted(set(thresholds), reverse=True):
+        while step is not None and step[0] >= t:
+            tp += step[1]
+            pred += step[2]
+            step = next(steps, None)
+        at[t] = _metrics_from_counts(tp, pred - tp, gold_pairs - tp)
+    return {t: at[t] for t in thresholds}
+
+
+def _merge_steps(groups: dict, merges):
+    """Steps of the merges (score, c1, c2, merged id).  ``groups`` maps a
+    cluster to the count and gold-entity Counter of its in-scope members;
+    merging X and Y adds |X|·|Y| predicted and Σₑ Xₑ·Yₑ true pairs."""
+    for score, c1, c2, new in merges:
+        (nx, x), (ny, y) = groups.pop(c1), groups.pop(c2)
+        if len(x) < len(y):
+            x, y = y, x
+        tp = sum(n * x[e] for e, n in y.items())
+        x.update(y)
+        groups[new] = (nx + ny, x)
+        yield score, tp, nx * ny
+
+
+def _closure_merges(ranked, scope):
+    """The merges (score, root, root, merged root) that take the transitive
+    closure of the ranked (score, a, b) pairs, in their order."""
     parent: dict[str, str] = {rid: rid for rid in scope}
 
     def find(x: str) -> str:
@@ -107,16 +142,31 @@ def transitive_closure(pairs, scope) -> list[set[str]]:
             x = parent[x]
         return x
 
-    for pair in pairs:
-        a, b = tuple(pair)
-        if a in parent and b in parent:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-    groups: dict[str, set[str]] = {}
-    for rid in scope:
-        groups.setdefault(find(rid), set()).add(rid)
-    return list(groups.values())
+    for score, a, b in ranked:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+            yield score, ra, rb, rb
+
+
+def replay_sweep(result: RcerResult, thresholds, gold: GoldLabeling, scope
+                 ) -> dict[float, PairwiseMetrics]:
+    """``pairwise_metrics(partition_at_threshold(result, t), gold, scope)``
+    at each threshold t, from one pass over the merge log."""
+    ts = _check_sweep(thresholds, gold, scope)
+    if min(ts) < result.merge_threshold:
+        raise ValueError(f"cannot replay at threshold {min(ts)}: the merge "
+                         f"log was recorded at {result.merge_threshold}")
+    ents = {cid: Counter(gold.entity_of(r) for r in m if r in scope)
+            for cid, m in result.initial_clusters}
+    groups = {cid: (e.total(), e) for cid, e in ents.items()}
+    if sum(n for n, _ in groups.values()) != len(scope):
+        raise ValueError("prediction does not cover the evaluation scope")
+    return _ordered_sweep(
+        _merge_steps(groups, result.merge_log), ts,
+        _gold_pair_count(gold, scope),
+        sum(_pairs_within(e.values()) for e in ents.values()),
+        _pairs_within(n for n, _ in groups.values()))
 
 
 def baseline_scores(kind: str, ds: Dataset, refs, ctx: SimilarityContext
@@ -167,22 +217,26 @@ def threshold_sweep(kind: str, ds: Dataset, refs, cfg: SimilarityConfig,
                     thresholds, gold: GoldLabeling
                     ) -> dict[float, PairwiseMetrics]:
     """Metrics of one resolver at each threshold.  A baseline blocks and
-    scores its pairs once and thresholds the stored scores; RC-ER clusters
-    once and replays (``rcer_threshold_sweep``)."""
+    scores its pairs once and walks them from the highest score down: A
+    and NR count each pair, A* and NR* merge the pairs' transitive closure.
+    RC-ER clusters once and walks its merge log (``rcer_threshold_sweep``).
+    """
     if kind not in BASELINE_KINDS:
         raise ValueError(f"unknown baseline kind: {kind}")
     scope = set(refs)
     if kind == "RCER":
         return rcer_threshold_sweep(ds, scope, cfg, thresholds, gold)
+    ts = _check_sweep(thresholds, gold, scope)
     scores = baseline_scores(kind, ds, scope, SimilarityContext(ds, cfg))
-    out = {}
-    for t in thresholds:
-        pairs = [p for p, s in scores.items() if s >= t]
-        out[t] = (pairwise_metrics(transitive_closure(pairs, scope), gold,
-                                   scope)
-                  if kind.endswith("_star")
-                  else pairwise_metrics_from_pairs(pairs, gold, scope))
-    return out
+    ranked = sorted(((s, *pair) for pair, s in scores.items()),
+                    key=lambda x: x[0], reverse=True)
+    if kind.endswith("_star"):
+        groups = {rid: (1, Counter([gold.entity_of(rid)])) for rid in scope}
+        steps = _merge_steps(groups, _closure_merges(ranked, scope))
+    else:
+        steps = ((s, gold.entity_of(a) == gold.entity_of(b), 1)
+                 for s, a, b in ranked)
+    return _ordered_sweep(steps, ts, _gold_pair_count(gold, scope))
 
 
 def evaluate_baseline(kind: str, ds: Dataset, refs, cfg: SimilarityConfig,
@@ -192,31 +246,22 @@ def evaluate_baseline(kind: str, ds: Dataset, refs, cfg: SimilarityConfig,
 
 
 def best_f1_over_thresholds(resolver, thresholds) -> tuple[float, PairwiseMetrics]:
-    """``resolver(threshold) -> PairwiseMetrics``; ties favor the lowest
-    threshold."""
+    """``resolver(threshold) -> PairwiseMetrics``; ties favor the first
+    threshold given (the lowest, on an ascending grid)."""
     if not thresholds:
         raise ValueError("no thresholds given")
-    best = None
-    for t in thresholds:
-        m = resolver(t)
-        if best is None or m.f1 > best[1].f1:
-            best = (t, m)
-    return best
+    return max(((t, resolver(t)) for t in thresholds), key=lambda b: b[1].f1)
 
 
 def rcer_threshold_sweep(ds: Dataset, refs, cfg: SimilarityConfig,
                          thresholds, gold: GoldLabeling, **rcer_kwargs):
-    """One clustering run, recorded at the lowest threshold and replayed
-    at each."""
+    """One clustering run, recorded at the lowest threshold and scored at
+    each (``replay_sweep``)."""
     scope = set(refs)
-    result = run_rcer(ds, scope,
-                      replace(cfg, merge_threshold=min(thresholds)),
+    ts = _check_sweep(thresholds, gold, scope)
+    result = run_rcer(ds, scope, replace(cfg, merge_threshold=min(ts)),
                       **rcer_kwargs)
-    out = {}
-    for t in thresholds:
-        part = partition_at_threshold(result, t)
-        out[t] = pairwise_metrics(part, gold, scope)
-    return out
+    return replay_sweep(result, ts, gold, scope)
 
 
 @dataclass
@@ -303,5 +348,6 @@ def query_level_sweep(ds: Dataset, value: str, cfg: SimilarityConfig,
     answer = resolve(ds, Query(value=value),
                      ExpansionParams(d_star=depth, delta=cfg.delta),
                      replace(cfg, merge_threshold=0.0))
-    return {t: pairwise_metrics(answer.groups(t), gold, answer.rset.levels[0])
-            for t in thresholds}
+    # with no match, level 0 is empty and so is the clustering
+    result = answer.result or RcerResult([], [], "empty", 0.0)
+    return replay_sweep(result, thresholds, gold, answer.rset.levels[0])

@@ -44,10 +44,7 @@ class RelevantSet:
 
     @property
     def union(self) -> set[str]:
-        out: set[str] = set()
-        for lv in self.levels:
-            out |= lv
-        return out
+        return set().union(*self.levels)
 
 
 def x_a(ds: Dataset, value: str, delta: float = 0.0) -> set[str]:

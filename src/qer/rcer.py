@@ -68,16 +68,11 @@ def bootstrap(ds: Dataset, refs, mode: str = "singleton",
         raise ValueError(f"unknown bootstrap mode: {mode}")
     if ambiguity is None:
         raise ValueError("exact-name bootstrap needs an ambiguity estimate")
-    groups: dict[str, list[str]] = {}
-    order: list[str] = []
+    groups: dict[str, list[str]] = {}  # in order of first appearance
     for rid in refs:
-        name = ds.references[rid].norm_name
-        if name not in groups:
-            order.append(name)
-        groups.setdefault(name, []).append(rid)
+        groups.setdefault(ds.references[rid].norm_name, []).append(rid)
     out: list[list[str]] = []
-    for name in order:
-        members = groups[name]
+    for name, members in groups.items():
         if len(members) > 1 and ambiguity(name) < ambiguity_cutoff:
             out.append(members)
         else:

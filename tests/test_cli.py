@@ -1,8 +1,9 @@
 import json
+from dataclasses import replace
 
 import pytest
 
-from qer import corpus, evalkit, synthgen
+from qer import corpus, evalkit, expansion, rcer, synthgen
 from qer.cli import DEFAULT_CFG, SWEEP, main
 
 from conftest import CORPUS_RECORDS, GOLD_ASSIGNMENTS
@@ -127,6 +128,33 @@ def test_eval_rcer_alias(records_file, gold_file, capsys):
                "--baseline", "RC-ER", "--threshold", "0.5"])
     assert rc == 0
     assert "baseline=RC-ER" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("baseline", ["A", "A*", "NR", "NR*", "RC-ER"])
+@pytest.mark.parametrize("threshold", ["1.5", "nan", "-0.2"])
+def test_eval_rejects_threshold_out_of_range(records_file, gold_file,
+                                             baseline, threshold, capsys):
+    assert main(["eval", "--records", records_file, "--gold", gold_file,
+                 "--baseline", baseline, "--threshold", threshold]) == 2
+    captured = capsys.readouterr()
+    assert f"error: threshold {float(threshold)!r}" in captured.err
+    assert not captured.out
+
+
+def test_query_sweep_picks_the_best_replayed_threshold(records_file,
+                                                       gold_file, capsys):
+    assert main(["--output", "structured", "query", "W. Wang", "--records",
+                 records_file, "--sweep", "--gold", gold_file]) == 0
+    extra = json.loads(capsys.readouterr().out.splitlines()[-1])
+    ds = corpus.ingest_file(records_file)
+    gold = corpus.load_gold(gold_file)
+    answer = rcer.resolve(ds, corpus.Query("W. Wang"),
+                          expansion.ExpansionParams(delta=DEFAULT_CFG.delta),
+                          replace(DEFAULT_CFG, merge_threshold=0.0))
+    t, m = evalkit.best_f1_over_thresholds(
+        lambda t: evalkit.pairwise_metrics(answer.groups(t), gold,
+                                           answer.rset.levels[0]), SWEEP)
+    assert (extra["threshold"], extra["f1"]) == (t, round(m.f1, 4))
 
 
 def test_analyze_closed_form(capsys):

@@ -1,12 +1,16 @@
 import hashlib
 import itertools
 import json
+import math
 import os
 import random
+import re
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qer.corpus import GoldLabeling, ingest
 from qer.evalkit import (
@@ -14,13 +18,16 @@ from qer.evalkit import (
     best_f1_over_thresholds,
     evaluate_baseline,
     pairwise_metrics,
-    pairwise_metrics_from_pairs,
+    query_level_sweep,
+    rcer_threshold_sweep,
+    replay_sweep,
     run_trend_experiment,
     threshold_sweep,
-    transitive_closure,
 )
+from qer.expansion import AmbiguityEstimator
+from qer.rcer import RcerResult, partition_at_threshold, run_rcer
 from qer.similarity import SimilarityConfig, SimilarityContext
-from qer import synthgen
+from qer import evalkit, synthgen
 
 from conftest import GOLD_ASSIGNMENTS
 
@@ -123,9 +130,11 @@ def test_baseline_a_threshold_extremes(corpus_ds, corpus_gold, ctx):
     at_zero = evaluate_baseline("A", corpus_ds, refs, ctx.cfg, 0.0,
                                 corpus_gold)
     assert at_zero.tp + at_zero.fp == len(blocked)
-    above_one = evaluate_baseline("A", corpus_ds, refs, ctx.cfg, 1.01,
-                                  corpus_gold)
-    assert above_one.tp + above_one.fp == 0
+    at_one = evaluate_baseline("A", corpus_ds, refs, ctx.cfg, 1.0,
+                               corpus_gold)
+    assert at_one.tp + at_one.fp == sum(s >= 1.0 for s in scores.values())
+    with pytest.raises(ValueError, match="1.01"):
+        evaluate_baseline("A", corpus_ds, refs, ctx.cfg, 1.01, corpus_gold)
 
 
 def test_baseline_a_wang_pairs(corpus_ds, ctx):
@@ -185,8 +194,22 @@ def test_transitive_closure_monotone(corpus_ds, corpus_gold, ctx):
 
 
 def test_transitive_closure_groups():
-    part = transitive_closure([("a", "b"), ("b", "c")], {"a", "b", "c", "d"})
-    assert {frozenset(c) for c in part} == {frozenset("abc"), frozenset("d")}
+    # numeric names 0, 3 and 6 score 0.5 pairwise with their neighbor and 0
+    # end to end: A* closes a-b and b-c into {a, b, c}, which puts the
+    # unaccepted a-c pair in the answer; A counts the accepted pairs only
+    ds = ingest([{"pub_id": f"p{r}", "authors": [{"id": r, "name": v}]}
+                 for r, v in (("a", "0.0"), ("b", "3.0"), ("c", "6.0"),
+                              ("d", "50.0"))], name_mode="numeric")
+    cfg = SimilarityConfig(alpha=0.5, epsilon=0.9, delta=0.0,
+                           merge_threshold=0.5)
+    gold = GoldLabeling({"a": "E", "b": "E", "c": "G", "d": "F"})
+    thresholds = [0.5, 0.0, 0.75, 0.5]
+    counts = {kind: {t: (m.tp, m.fp, m.fn) for t, m in threshold_sweep(
+        kind, ds, set(ds.references), cfg, thresholds, gold).items()}
+        for kind in ("A", "A_star")}
+    assert counts["A_star"] == {0.75: (0, 0, 1), 0.5: (1, 2, 0),
+                                0.0: (1, 2, 0)}
+    assert counts["A"] == {0.75: (0, 0, 1), 0.5: (1, 1, 0), 0.0: (1, 2, 0)}
 
 
 def test_best_f1_tie_prefers_lowest_threshold(corpus_ds, corpus_gold, ctx):
@@ -272,3 +295,124 @@ def test_rcer_baseline_independent_of_hash_seed():
         assert proc.returncode == 0, proc.stderr
         runs.append(proc.stdout)
     assert runs[0] == runs[1]
+
+
+def test_rcer_sweep_pinned():
+    # (tp, fp, fn) of the RC-ER sweep over the CLI's 21-point grid, computed
+    # by replaying the merge log and scoring each partition afresh
+    from qer.cli import DEFAULT_CFG, SWEEP
+    out = synthgen.generate(synthgen.GenParams(seed=3))
+    sweep = rcer_threshold_sweep(out.dataset, out.dataset.references,
+                                 DEFAULT_CFG, SWEEP, out.gold)
+    rows = [["RCER", t, sweep[t].tp, sweep[t].fp, sweep[t].fn] for t in SWEEP]
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == (
+        "e8a991a2303afeea6e601f77333b8c3c5305f0c5445d0c9022172b3c6840515f")
+
+
+SIMS = [0.0, 0.1, 0.25, 0.5, 0.75, 1.0]
+
+
+@st.composite
+def merge_histories(draw):
+    """A random initial partition of r0..r(n-1), a merge log over it with
+    scores in no particular order, gold labels and a strict-subset scope."""
+    n = draw(st.integers(1, 14))
+    refs = [f"r{i}" for i in range(n)]
+    labels = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    initial: dict[int, list[str]] = {}
+    for rid, lab in zip(refs, labels):
+        initial.setdefault(lab, []).append(rid)
+    clusters = [(cid, tuple(m)) for cid, m in enumerate(initial.values())]
+    live, new, log = [cid for cid, _ in clusters], len(clusters), []
+    for _ in range(draw(st.integers(0, len(live) - 1))):
+        c1, c2 = draw(st.permutations(live))[:2]
+        live = [c for c in live if c not in (c1, c2)] + [new]
+        log.append((draw(st.sampled_from(SIMS)), c1, c2, new))
+        new += 1
+    result = RcerResult(clusters=[], merge_log=log, stopped_reason="exhausted",
+                        merge_threshold=0.0, initial_clusters=clusters)
+    gold = GoldLabeling({r: draw(st.sampled_from("xyz")) for r in refs})
+    scope = draw(st.sets(st.sampled_from(refs), max_size=n - 1)) if n > 1 \
+        else set()
+    return result, gold, scope
+
+
+@given(merge_histories(),
+       st.lists(st.sampled_from(SIMS + [0.3, 0.9]), min_size=1, max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_replay_sweep_equals_replay_then_score(history, thresholds):
+    result, gold, scope = history
+    assert replay_sweep(result, thresholds, gold, scope) == {
+        t: pairwise_metrics(partition_at_threshold(result, t), gold, scope)
+        for t in thresholds}
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_rcer_sweep_equals_replay_then_score(seed):
+    from qer.cli import DEFAULT_CFG, SWEEP
+    out = synthgen.generate(synthgen.GenParams(seed=seed))
+    ds, gold = out.dataset, out.gold
+    refs = sorted(ds.references)
+    exact_name = {"bootstrap_mode": "exact-name",
+                  "ambiguity": AmbiguityEstimator(ds).estimate,
+                  "ambiguity_cutoff": 0.01}
+    for multiset, kwargs in ((False, {}), (True, {}), (False, exact_name)):
+        cfg = replace(DEFAULT_CFG, merge_threshold=0.0,
+                      multiset_neighborhood=multiset)
+        result = run_rcer(ds, refs, cfg, **kwargs)
+        if kwargs:
+            assert len(result.initial_clusters) < len(refs)
+        for scope in (set(refs[::3]), set(refs)):
+            expected = {t: pairwise_metrics(partition_at_threshold(result, t),
+                                            gold, scope) for t in SWEEP}
+            assert replay_sweep(result, SWEEP, gold, scope) == expected
+        # the whole corpus is the scope of the one-call sweep
+        assert rcer_threshold_sweep(ds, refs, cfg, SWEEP, gold,
+                                    **kwargs) == expected
+
+
+BAD_THRESHOLDS = [[], [0.5, 1.5], [float("nan")], [-0.2], [math.inf], ["0.5"]]
+
+
+@pytest.mark.parametrize("thresholds", BAD_THRESHOLDS)
+def test_sweeps_reject_bad_thresholds(corpus_ds, corpus_gold, text_cfg,
+                                      thresholds):
+    refs = set(corpus_ds.references)
+    named = repr(thresholds[-1]) if thresholds else "no thresholds"
+    sweeps = [lambda k=k: threshold_sweep(k, corpus_ds, refs, text_cfg,
+                                          thresholds, corpus_gold)
+              for k in ("A", "A_star", "NR", "NR_star", "RCER")]
+    sweeps += [
+        lambda: rcer_threshold_sweep(corpus_ds, refs, text_cfg, thresholds,
+                                     corpus_gold),
+        lambda: query_level_sweep(corpus_ds, "W. Wang", text_cfg,
+                                  corpus_gold, 1, thresholds),
+        lambda: query_level_sweep(corpus_ds, "Nobody", text_cfg,
+                                  corpus_gold, 1, thresholds)]
+    for sweep in sweeps:
+        with pytest.raises(ValueError, match=re.escape(named)):
+            sweep()
+
+
+def test_sweeps_check_gold_before_clustering(corpus_ds, text_cfg,
+                                             monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("clustered or scored before the gold check")
+
+    monkeypatch.setattr(evalkit, "run_rcer", fail)
+    monkeypatch.setattr(evalkit, "block_candidates", fail)
+    refs = set(corpus_ds.references)
+    partial = GoldLabeling({r: e for r, e in GOLD_ASSIGNMENTS.items()
+                            if r != "r9"})
+    for kind in ("A", "A_star", "NR", "NR_star", "RCER"):
+        with pytest.raises(ValueError, match="gold labeling does not cover"):
+            threshold_sweep(kind, corpus_ds, refs, text_cfg, [0.5], partial)
+    with pytest.raises(ValueError, match="gold labeling does not cover"):
+        rcer_threshold_sweep(corpus_ds, refs, text_cfg, [0.5], partial)
+
+
+def test_query_level_sweep_without_match(corpus_ds, corpus_gold, text_cfg):
+    sweep = query_level_sweep(corpus_ds, "Nobody", text_cfg, corpus_gold, 1,
+                              [0.5, 0.2])
+    assert sweep == {t: pairwise_metrics([], corpus_gold, set())
+                     for t in (0.5, 0.2)}
