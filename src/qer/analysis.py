@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, product
 
 from .corpus import Dataset, GoldLabeling
 from .similarity import SimilarityConfig, SimilarityContext
@@ -31,11 +31,27 @@ def _pair_key(e1: str, e2: str) -> tuple[str, str]:
     return (e1, e2) if e1 <= e2 else (e2, e1)
 
 
-def _refs_by_entity(ds: Dataset, gold: GoldLabeling) -> dict[str, list[str]]:
-    out: dict[str, list[str]] = defaultdict(list)
+def _pair_rates(ds: Dataset, gold: GoldLabeling, keep, hit):
+    """Per entity, the fraction of its reference pairs passing ``keep`` that
+    pass ``hit(r1, r2, True)``; per entity pair, the same over its cross
+    pairs with ``hit(r1, r2, False)``.  An entity (pair) without a kept
+    pair is left out."""
+    by_entity: dict[str, list[str]] = defaultdict(list)
     for rid in sorted(ds.references):
-        out[gold.entity_of(rid)].append(rid)
-    return dict(out)
+        by_entity[gold.entity_of(rid)].append(rid)
+
+    def rate(pairs, same_entity: bool):
+        kept = [p for p in pairs if keep(*p)]
+        return sum(hit(*p, same_entity) for p in kept) / len(kept) \
+            if kept else None
+
+    within = {e: x for e, refs in by_entity.items()
+              if (x := rate(combinations(refs, 2), True)) is not None}
+    cross = {_pair_key(e1, e2): x
+             for e1, e2 in combinations(sorted(by_entity), 2)
+             if (x := rate(product(by_entity[e1], by_entity[e2]), False))
+             is not None}
+    return within, cross
 
 
 def estimate_attribute_probs(ds: Dataset, gold: GoldLabeling,
@@ -43,22 +59,8 @@ def estimate_attribute_probs(ds: Dataset, gold: GoldLabeling,
     """a_I(e): fraction of within-entity reference pairs that clear the
     conservative similarity threshold; a_A(e1,e2): same over cross pairs."""
     ctx = SimilarityContext(ds, cfg)
-    by_entity = _refs_by_entity(ds, gold)
-    a_i: dict[str, float] = {}
-    for e, refs in by_entity.items():
-        if len(refs) < 2:
-            continue
-        hits = sum(ctx.epsilon_similar(r1, r2)
-                   for r1, r2 in combinations(refs, 2))
-        a_i[e] = hits / (len(refs) * (len(refs) - 1) / 2)
-    a_a: dict[tuple[str, str], float] = {}
-    entities = sorted(by_entity)
-    for e1, e2 in combinations(entities, 2):
-        total = len(by_entity[e1]) * len(by_entity[e2])
-        hits = sum(ctx.epsilon_similar(r1, r2)
-                   for r1 in by_entity[e1] for r2 in by_entity[e2])
-        a_a[_pair_key(e1, e2)] = hits / total
-    return a_i, a_a
+    return _pair_rates(ds, gold, lambda r1, r2: True,
+                       lambda r1, r2, _: ctx.epsilon_similar(r1, r2))
 
 
 def _has_witness(ds: Dataset, gold: GoldLabeling, ctx: SimilarityContext,
@@ -84,27 +86,10 @@ def estimate_relational_probs(ds: Dataset, gold: GoldLabeling,
     an ambiguous witness.  Entities (pairs) with no liberal-similar pairs
     are omitted (callers treat missing as 0)."""
     ctx = SimilarityContext(ds, cfg)
-    by_entity = _refs_by_entity(ds, gold)
     name = lambda rid: ds.references[rid].norm_name
-    r_i: dict[str, float] = {}
-    for e, refs in by_entity.items():
-        pairs = [(r1, r2) for r1, r2 in combinations(refs, 2)
-                 if ctx.delta_similar(name(r1), name(r2))]
-        if not pairs:
-            continue
-        hits = sum(_has_witness(ds, gold, ctx, r1, r2, True)
-                   for r1, r2 in pairs)
-        r_i[e] = hits / len(pairs)
-    r_a: dict[tuple[str, str], float] = {}
-    for e1, e2 in combinations(sorted(by_entity), 2):
-        pairs = [(r1, r2) for r1 in by_entity[e1] for r2 in by_entity[e2]
-                 if ctx.delta_similar(name(r1), name(r2))]
-        if not pairs:
-            continue
-        hits = sum(_has_witness(ds, gold, ctx, r1, r2, False)
-                   for r1, r2 in pairs)
-        r_a[_pair_key(e1, e2)] = hits / len(pairs)
-    return r_i, r_a
+    return _pair_rates(
+        ds, gold, lambda r1, r2: ctx.delta_similar(name(r1), name(r2)),
+        lambda r1, r2, same: _has_witness(ds, gold, ctx, r1, r2, same))
 
 
 def estimate_neighbor_weights(ds: Dataset, gold: GoldLabeling

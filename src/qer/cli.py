@@ -158,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     pi = sub.add_parser("ingest", help="parse records and snapshot a dataset")
     pi.add_argument("records")
     pi.add_argument("--dataset", help="snapshot output path")
-    pi.add_argument("--name-mode", choices=("text", "numeric"), default="text")
+    pi.add_argument("--name-mode", choices=corpus.NAME_MODES, default="text")
     pi.set_defaults(fn=cmd_ingest)
 
     pq = sub.add_parser("query", help="resolve the entities for a name")
@@ -166,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     pq.add_argument("--ref-id", help="query by reference id instead of name")
     pq.add_argument("--dataset")
     pq.add_argument("--records")
-    pq.add_argument("--name-mode", choices=("text", "numeric"), default="text")
+    pq.add_argument("--name-mode", choices=corpus.NAME_MODES, default="text")
     pq.add_argument("--depth", type=int, default=3)
     pq.add_argument("--threshold", type=float)
     pq.add_argument("--sweep", action="store_true",
@@ -193,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe = sub.add_parser("eval", help="score a resolver against gold labels")
     pe.add_argument("--dataset")
     pe.add_argument("--records")
-    pe.add_argument("--name-mode", choices=("text", "numeric"), default="text")
+    pe.add_argument("--name-mode", choices=corpus.NAME_MODES, default="text")
     pe.add_argument("--gold", required=True)
     pe.add_argument("--baseline", default="RCER",
                     choices=("A", "A*", "A_star", "NR", "NR*", "NR_star",
@@ -210,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--n", type=int, default=0)
     pa.add_argument("--dataset")
     pa.add_argument("--records")
-    pa.add_argument("--name-mode", choices=("text", "numeric"), default="text")
+    pa.add_argument("--name-mode", choices=corpus.NAME_MODES, default="text")
     pa.add_argument("--gold")
     pa.add_argument("--depth", type=int, default=3)
     pa.set_defaults(fn=cmd_analyze)

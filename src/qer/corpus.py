@@ -18,6 +18,11 @@ class IngestError(ValueError):
     """Raised for malformed or duplicate input records."""
 
 
+# "text" for author names (string similarity), "numeric" for synthetic
+# scalar attributes rendered as decimal text
+NAME_MODES = ("text", "numeric")
+
+
 def normalize_name(name: str) -> str:
     """Case-fold, collapse whitespace and strip trailing periods of initials.
 
@@ -108,13 +113,14 @@ class GoldLabeling:
 class Dataset:
     """Immutable after construction; safe for concurrent readers.
 
-    ``name_mode`` is "text" for author names (string similarity) or
-    "numeric" for synthetic scalar attributes rendered as decimal text.
-    ``name_buckets`` is built on first use, not at ingest; two concurrent
-    first readers may both compute the same value.
+    ``name_mode`` is one of ``NAME_MODES``.  ``name_buckets`` is built on
+    first use, not at ingest; two concurrent first readers may both compute
+    the same value.
     """
 
     def __init__(self, references, hyperedges, name_mode: str = "text"):
+        if name_mode not in NAME_MODES:
+            raise IngestError(f"unknown name_mode {name_mode!r}")
         self.references: dict[str, Reference] = {r.id: r for r in references}
         self.hyperedges: dict[str, HyperEdge] = {h.id: h for h in hyperedges}
         self.name_mode = name_mode
@@ -180,6 +186,20 @@ class Query:
             raise ValueError("query value must be non-empty")
 
 
+def _extras(fields: dict, skip: tuple, where: str) -> dict[str, str]:
+    """The fields outside ``skip`` as extra attributes: scalars as strings,
+    nulls dropped, and a list or mapping refused."""
+    extra = {}
+    for k, v in fields.items():
+        if k in skip or v is None:
+            continue
+        if isinstance(v, (list, dict)):
+            raise IngestError(f"{where}: attribute {k!r} is a "
+                              f"{type(v).__name__}, not a scalar")
+        extra[k] = str(v)
+    return extra
+
+
 def _author_entry(entry, pub_id: str, slot: int):
     """Accept either a bare name string or {"id":..., "name":..., ...}."""
     if isinstance(entry, str):
@@ -188,13 +208,11 @@ def _author_entry(entry, pub_id: str, slot: int):
         name = entry.get("name")
         if not name:
             raise IngestError(f"record {pub_id}: author {slot} has no name")
-        extra = {
-            k: str(v) for k, v in entry.items() if k not in ("id", "name")
-        }
         return Reference(
             id=str(entry.get("id", f"{pub_id}:{slot}")),
             name=str(name),
-            extra_attrs=extra,
+            extra_attrs=_extras(entry, ("id", "name"),
+                                f"record {pub_id}: author {slot}"),
         )
     raise IngestError(f"record {pub_id}: malformed author entry {entry!r}")
 
@@ -225,11 +243,7 @@ def ingest(records, name_mode: str = "text") -> Dataset:
             raise IngestError(f"{where} ({pub_id}): no authors")
         if not isinstance(authors, list):
             raise IngestError(f"{where} ({pub_id}): authors is not a list")
-        shared = {
-            k: str(v)
-            for k, v in rec.items()
-            if k not in ("pub_id", "authors") and v is not None
-        }
+        shared = _extras(rec, ("pub_id", "authors"), f"{where} ({pub_id})")
         edge_refs = []
         for slot, entry in enumerate(authors):
             r = _author_entry(entry, pub_id, slot)
@@ -323,7 +337,7 @@ def load_snapshot(path) -> Dataset:
         except json.JSONDecodeError as e:
             raise IngestError(f"snapshot {path}: invalid JSON: {e}") from e
     name_mode = _field(payload, "name_mode", str, "payload", "text")
-    if name_mode not in ("text", "numeric"):
+    if name_mode not in NAME_MODES:
         raise IngestError(f"snapshot payload: unknown name_mode {name_mode!r}")
     refs = [
         Reference(

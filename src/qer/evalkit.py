@@ -254,13 +254,13 @@ def best_f1_over_thresholds(resolver, thresholds) -> tuple[float, PairwiseMetric
 
 
 def rcer_threshold_sweep(ds: Dataset, refs, cfg: SimilarityConfig,
-                         thresholds, gold: GoldLabeling, **rcer_kwargs):
-    """One clustering run, recorded at the lowest threshold and scored at
-    each (``replay_sweep``)."""
+                         thresholds, gold: GoldLabeling, premerge=None):
+    """One clustering run (``run_rcer`` with ``premerge``), recorded at the
+    lowest threshold and scored at each (``replay_sweep``)."""
     scope = set(refs)
     ts = _check_sweep(thresholds, gold, scope)
     result = run_rcer(ds, scope, replace(cfg, merge_threshold=min(ts)),
-                      **rcer_kwargs)
+                      premerge)
     return replay_sweep(result, ts, gold, scope)
 
 

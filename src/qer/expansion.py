@@ -15,6 +15,10 @@ from .corpus import (Dataset, Query, finite_number, first_initial, last_name,
                      normalize_name)
 from .similarity import delta_neighbours
 
+# Query names whose last name shows fewer distinct first initials than this
+# expand to depth 1 under ``adaptive_depth``.
+INITIALS_CUTOFF = 10
+
 
 @dataclass
 class ExpansionParams:
@@ -26,7 +30,6 @@ class ExpansionParams:
     h_max: float | None = None
     a_max: float | None = None
     adaptive_depth: bool = False
-    initials_cutoff: int = 10
 
     def __post_init__(self):
         if self.d_star < 0:
@@ -77,33 +80,32 @@ class AmbiguityEstimator:
     """Per-name ambiguity estimates from corpus counts.
 
     The naive estimate is the fraction of all references carrying the name;
-    the conditional estimate (used when a secondary attribute is available,
-    here the first initial given the last name) counts distinct secondary
-    values instead.  Both take normalized names.
+    the conditional estimate, which text datasets use (the secondary
+    attribute is the first initial given the last name), counts distinct
+    secondary values instead.  Numeric datasets have no secondary attribute
+    and use the naive one.  Both take normalized names.
     """
 
-    def __init__(self, ds: Dataset, use_secondary: bool = True):
-        numeric = ds.name_mode == "numeric"
+    def __init__(self, ds: Dataset):
+        self.numeric = ds.name_mode == "numeric"
         self.total = len(ds.references)
         self.name_counts: dict[str, int] = {
             n: len(ids) for n, ids in ds.name_index.items()
         }
         self.initials_by_last: dict[str, set[str]] = {}
-        if not numeric:
+        if not self.numeric:
             for r in ds.references.values():
                 ln = last_name(r.norm_name)
                 fi = first_initial(r.norm_name)
                 if ln and fi:
                     self.initials_by_last.setdefault(ln, set()).add(fi)
-        self.use_secondary = use_secondary and not numeric
 
     def estimate(self, value: str) -> float:
         if self.total == 0:
             return 0.0
-        if self.use_secondary:
-            initials = self.initials_by_last.get(last_name(value), set())
-            return len(initials) / self.total
-        return self.name_counts.get(value, 0) / self.total
+        if self.numeric:
+            return self.name_counts.get(value, 0) / self.total
+        return self.distinct_initials(value) / self.total
 
     def distinct_initials(self, value: str) -> int:
         return len(self.initials_by_last.get(last_name(value), set()))
@@ -111,10 +113,10 @@ class AmbiguityEstimator:
 
 def adaptive_depth(est: AmbiguityEstimator, query: Query,
                    params: ExpansionParams) -> int:
-    """Depth 1 suffices for query names whose last name shows few distinct
-    first initials in the corpus (low-ambiguity names)."""
-    if est.distinct_initials(normalize_name(query.value)) \
-            < params.initials_cutoff:
+    """Depth 1 suffices for query names whose last name shows fewer than
+    ``INITIALS_CUTOFF`` distinct first initials in the corpus
+    (low-ambiguity names)."""
+    if est.distinct_initials(normalize_name(query.value)) < INITIALS_CUTOFF:
         return 1
     return params.d_star
 

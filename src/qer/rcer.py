@@ -36,7 +36,6 @@ from .similarity import (
     SimilarityContext,
     delta_neighbours,
     jaccard,
-    representative,
 )
 
 
@@ -57,23 +56,19 @@ def block_candidates(ds: Dataset, refs, ctx: SimilarityContext) -> set[frozenset
     return pairs
 
 
-def bootstrap(ds: Dataset, refs, mode: str = "singleton",
-              ambiguity=None, ambiguity_cutoff: float = 0.0) -> list[list[str]]:
-    """Initial partition of the reference ids.  Default is one singleton
-    per reference; the exact-name mode pre-merges references sharing a
-    normalized name whose estimated ambiguity falls below the cutoff."""
-    if mode == "singleton":
+def bootstrap(ds: Dataset, refs, premerge=None) -> list[list[str]]:
+    """Initial partition of the reference ids: one singleton per reference,
+    in the given order.  With ``premerge``, the references sharing a
+    normalized name for which ``premerge(name)`` holds start as one cluster
+    instead (names in order of first appearance)."""
+    if premerge is None:
         return [[rid] for rid in refs]
-    if mode != "exact-name":
-        raise ValueError(f"unknown bootstrap mode: {mode}")
-    if ambiguity is None:
-        raise ValueError("exact-name bootstrap needs an ambiguity estimate")
-    groups: dict[str, list[str]] = {}  # in order of first appearance
+    groups: dict[str, list[str]] = {}
     for rid in refs:
         groups.setdefault(ds.references[rid].norm_name, []).append(rid)
     out: list[list[str]] = []
     for name, members in groups.items():
-        if len(members) > 1 and ambiguity(name) < ambiguity_cutoff:
+        if premerge(name):
             out.append(members)
         else:
             out.extend([rid] for rid in members)
@@ -105,34 +100,17 @@ class ClusterState:
         self.labels: dict[str, int] = {}
         self.reps: dict[int, dict[str, str | None]] = {}
         self.nbr: dict[int, Counter] = {}
-        self.next_id = 0
-        for group in initial:
-            cid = self.next_id
-            self.next_id += 1
+        self.next_id = len(initial)
+        for cid, group in enumerate(initial):
             self.members[cid] = set(group)
             es: set[str] = set()
             for rid in group:
                 self.labels[rid] = cid
                 es |= ds.references[rid].hyperedges
             self.edges[cid] = es
-            self.reps[cid] = self._compute_reps(cid)
+            self.reps[cid] = ctx.representatives(self.members[cid])
         for cid in self.members:
             self.nbr[cid] = self._compute_nbr(cid)
-
-    def _compute_reps(self, cid: int) -> dict[str, str | None]:
-        reps: dict[str, str | None] = {}
-        for attr in self.ctx.cfg.attr_weights:
-            if attr == "name":
-                values = [self.ds.references[r].norm_name
-                          for r in self.members[cid]]
-            else:
-                values = [self.ds.references[r].extra_attrs.get(attr)
-                          for r in self.members[cid]]
-                values = [v for v in values if v]
-            reps[attr] = representative(
-                values, numeric=self.ctx.numeric and attr == "name"
-            ) if values else None
-        return reps
 
     def _compute_nbr(self, cid: int) -> Counter:
         """Labels of the references on the cluster's hyper-edges, its own
@@ -169,7 +147,7 @@ class ClusterState:
         for rid in self.members[new]:
             self.labels[rid] = new
         self.reps.pop(c1), self.reps.pop(c2)
-        self.reps[new] = self._compute_reps(new)
+        self.reps[new] = self.ctx.representatives(self.members[new])
         self.nbr.pop(c1), self.nbr.pop(c2)
         self.nbr[new] = self._compute_nbr(new)
         for n in self.nbr[new]:
@@ -181,9 +159,9 @@ class ClusterState:
 
 
 def run_rcer(ds: Dataset, refs, cfg: SimilarityConfig,
-             bootstrap_mode: str = "singleton",
-             ambiguity=None, ambiguity_cutoff: float = 0.0) -> RcerResult:
-    """Cluster the given reference ids; see the module docstring.
+             premerge=None) -> RcerResult:
+    """Cluster the given reference ids from ``bootstrap(ds, refs,
+    premerge)``; see the module docstring.
 
     The references are taken in sorted id order, so cluster ids, and with
     them the tie-breaks between equal scores, do not depend on the order
@@ -196,9 +174,7 @@ def run_rcer(ds: Dataset, refs, cfg: SimilarityConfig,
     if not ref_ids:
         raise ValueError("no references to cluster")
     ctx = SimilarityContext(ds, cfg)
-    initial = bootstrap(ds, ref_ids, mode=bootstrap_mode,
-                        ambiguity=ambiguity, ambiguity_cutoff=ambiguity_cutoff)
-    state = ClusterState(ds, ctx, initial)
+    state = ClusterState(ds, ctx, bootstrap(ds, ref_ids, premerge))
     initial_snapshot = [(cid, tuple(sorted(state.members[cid])))
                         for cid in sorted(state.members)]
 
@@ -313,12 +289,11 @@ class Answer:
 
 
 def resolve(ds: Dataset, query: Query, params: ExpansionParams,
-            cfg: SimilarityConfig, **rcer_kwargs) -> Answer:
+            cfg: SimilarityConfig) -> Answer:
     """Expand the query's relevant set and cluster it at
-    ``cfg.merge_threshold``; ``rcer_kwargs`` go to ``run_rcer``."""
+    ``cfg.merge_threshold``."""
     t0 = time.perf_counter()
     rset = build_relevant_set(ds, query, params)
     t1 = time.perf_counter()
-    result = run_rcer(ds, rset.union, cfg, **rcer_kwargs) \
-        if rset.answerable else None
+    result = run_rcer(ds, rset.union, cfg) if rset.answerable else None
     return Answer(rset, result, t1 - t0, time.perf_counter() - t1)

@@ -4,9 +4,10 @@ Names are compared with Soft TF-IDF over Jaro-Winkler token matches; the
 synthetic numeric attribute uses a range-scaled absolute difference.  The
 liberal (delta) test picks candidate pairs and the conservative (epsilon)
 test accepts reference pairs.  ``SimilarityContext.attribute_sim`` scores
-two attribute-value mappings under the configured weights; ``representative``
-and ``jaccard`` give a cluster's attribute values and its neighborhood
-overlap.  The combined cluster similarity
+two attribute-value mappings under the configured weights;
+``SimilarityContext.representatives`` gives the attribute values of a
+reference or cluster and ``jaccard`` a neighborhood overlap.  The combined
+cluster similarity
 
     sim(c1, c2) = (1 - alpha) * attribute + alpha * relational
 
@@ -258,15 +259,26 @@ class SimilarityContext:
                 score += w * self._text_attr_sim(v1, v2)
         return score
 
-    def _ref_values(self, rid: str) -> dict[str, str | None]:
-        r = self.ds.references[rid]
-        return {attr: r.norm_name if attr == "name"
-                else r.extra_attrs.get(attr) or None
-                for attr in self.cfg.attr_weights}
+    def representatives(self, members) -> dict[str, str | None]:
+        """Each configured attribute's ``representative`` over the given
+        reference ids, None where no member has a value; a reference is a
+        one-member cluster.  Every normalized name counts, the empty one
+        too; an extra attribute counts only when non-empty."""
+        refs = self.ds.references
+        reps: dict[str, str | None] = {}
+        for attr in self.cfg.attr_weights:
+            if attr == "name":
+                values = [refs[rid].norm_name for rid in members]
+            else:
+                values = [v for rid in members
+                          if (v := refs[rid].extra_attrs.get(attr))]
+            reps[attr] = representative(
+                values, self.numeric and attr == "name") if values else None
+        return reps
 
     def ref_attribute_sim(self, rid1: str, rid2: str) -> float:
-        return self.attribute_sim(self._ref_values(rid1),
-                                  self._ref_values(rid2))
+        return self.attribute_sim(self.representatives((rid1,)),
+                                  self.representatives((rid2,)))
 
     def _text_attr_sim(self, v1: str, v2: str) -> float:
         t1 = normalize_name(v1).split()
@@ -308,11 +320,18 @@ def jaccard(a, b) -> float:
     return inter / union if union else 0.0
 
 
+CONFIG_KEYS = ("alpha", "epsilon", "delta", "merge_threshold", "attr_weights")
+BOOLEANS = {"1": True, "true": True, "yes": True,
+            "0": False, "false": False, "no": False}
+
+
 def load_config(path) -> SimilarityConfig:
     """Read a key = value configuration file.
 
     Mandatory scalars: alpha, epsilon, delta, merge_threshold, plus
-    attr_weights given as "attr:weight" pairs separated by commas.
+    attr_weights given as "attr:weight" pairs separated by commas; the
+    optional multiset_neighborhood is one of the ``BOOLEANS``.  Any other
+    key raises ``ValueError``.
     """
     raw: dict[str, str] = {}
     with open(path) as f:
@@ -322,12 +341,17 @@ def load_config(path) -> SimilarityConfig:
                 continue
             if "=" not in line:
                 raise ValueError(f"bad config line: {line!r}")
-            k, v = line.split("=", 1)
-            raw[k.strip()] = v.strip()
-    missing = [k for k in ("alpha", "epsilon", "delta", "merge_threshold",
-                           "attr_weights") if k not in raw]
+            k, v = (part.strip() for part in line.split("=", 1))
+            if k not in CONFIG_KEYS + ("multiset_neighborhood",):
+                raise ValueError(f"unknown config key: {k!r}")
+            raw[k] = v
+    missing = [k for k in CONFIG_KEYS if k not in raw]
     if missing:
         raise ValueError(f"missing config keys: {', '.join(missing)}")
+    multiset = raw.get("multiset_neighborhood", "false").lower()
+    if multiset not in BOOLEANS:
+        raise ValueError(f"config key 'multiset_neighborhood': {multiset!r} "
+                         "is not a boolean")
     weights = {}
     for part in raw["attr_weights"].split(","):
         attr, w = part.split(":")
@@ -338,6 +362,5 @@ def load_config(path) -> SimilarityConfig:
         delta=float(raw["delta"]),
         merge_threshold=float(raw["merge_threshold"]),
         attr_weights=weights,
-        multiset_neighborhood=raw.get("multiset_neighborhood", "false").lower()
-        in ("1", "true", "yes"),
+        multiset_neighborhood=BOOLEANS[multiset],
     )

@@ -52,8 +52,7 @@ def _best_running_example_answer(ds, gold, text_cfg, alpha):
             ds, sorted(rset.union),
             SimilarityConfig(alpha=alpha, epsilon=text_cfg.epsilon,
                              delta=text_cfg.delta, merge_threshold=t),
-            bootstrap_mode="exact-name", ambiguity=ambiguity,
-            ambiguity_cutoff=2)
+            premerge=lambda name: ambiguity(name) < 2)
         answer = [frozenset(c & scope) for c in result.clusters
                   if c & scope]
         m = evalkit.pairwise_metrics(answer, gold, scope)

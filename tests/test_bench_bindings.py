@@ -5,6 +5,7 @@ missing per-layer metrics."""
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -51,3 +52,28 @@ def test_traced_binding_exists(name, module, attr):
 def test_heapq_binding_exists():
     heapq = importlib.import_module("qer.rcer").heapq
     assert callable(heapq.heappush) and callable(heapq.heappop)
+
+
+RUN = TRACING.parent / "run.py"
+
+# The calls bench/run.py makes into the program, by module, callable and
+# the arguments it passes.
+BENCH_CALLS = [
+    ("rcer", "run_rcer", ("ds", "refs", "cfg"), {}),
+    ("expansion", "ExpansionParams", (),
+     dict.fromkeys(("d_star", "delta", "h_max", "a_max"))),
+    ("similarity", "SimilarityConfig", (),
+     dict.fromkeys(("alpha", "epsilon", "delta", "merge_threshold"))),
+    ("evalkit", "rcer_threshold_sweep",
+     ("ds", "refs", "cfg", "thresholds", "gold"), {}),
+    ("rcer", "partition_at_threshold", ("result", "t"), {}),
+    ("expansion", "build_relevant_set", ("ds", "q", "params"), {}),
+]
+
+
+@pytest.mark.parametrize("module, attr, args, kwargs", BENCH_CALLS,
+                         ids=[f"{m}.{a}" for m, a, _, _ in BENCH_CALLS])
+def test_bench_call_shape_binds(module, attr, args, kwargs):
+    assert f"{module}.{attr}(" in RUN.read_text()
+    fn = getattr(importlib.import_module(f"qer.{module}"), attr)
+    inspect.signature(fn).bind(*args, **kwargs)

@@ -113,6 +113,20 @@ def test_synth_seed_is_the_subcommand_option(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("line", ["merge_treshold = 0.9",
+                                  "multiset_neighborhood = yes please"])
+def test_config_with_an_unread_line_exits_2(records_file, gold_file,
+                                            tmp_path, capsys, line):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("alpha = 0.5\nepsilon = 0.98\ndelta = 0.9\n"
+                   "merge_threshold = 0.5\nattr_weights = name:1.0\n"
+                   + line + "\n")
+    rc = main(["--config", str(cfg), "eval", "--records", records_file,
+               "--gold", gold_file])
+    assert rc == 2
+    assert line.split(" =")[0] in capsys.readouterr().err
+
+
 def test_eval_row_format(records_file, gold_file, capsys):
     rc = main(["eval", "--records", records_file, "--gold", gold_file,
                "--baseline", "A", "--sweep"])

@@ -10,7 +10,9 @@ import qer.corpus
 import qer.expansion
 import qer.similarity
 from qer import rcer, synthgen
+from qer.similarity import SimilarityConfig, SimilarityContext
 from qer.corpus import (
+    Dataset,
     GoldLabeling,
     IngestError,
     SNAPSHOT_HEADER,
@@ -102,6 +104,43 @@ def test_record_level_fields_copied_to_refs():
                   "authors": ["A. Aa", "B. Bb"]}])
     for r in ds.references.values():
         assert r.extra_attrs["title"] == "On Things"
+
+
+def test_null_extra_attributes_are_dropped():
+    ds = ingest([{"pub_id": "p", "venue": None, "year": 2007, "authors": [
+        {"id": "a", "name": "A. Aa", "affil": None},
+        {"id": "b", "name": "Z. Zz", "affil": None},
+        {"id": "c", "name": "C. Cc", "affil": "umd"}]}])
+    assert ds.references["a"].extra_attrs == {"year": "2007"}
+    assert ds.references["c"].extra_attrs == {"affil": "umd", "year": "2007"}
+    # two unknown affiliations are not a matching one
+    cfg = SimilarityConfig(alpha=0.5, epsilon=0.9, delta=0.9,
+                           merge_threshold=0.5,
+                           attr_weights={"name": 0.5, "affil": 0.5})
+    assert SimilarityContext(ds, cfg).ref_attribute_sim("a", "b") == 0.0
+
+
+@pytest.mark.parametrize("value", [["er", "db"], {"topic": "er"}])
+def test_list_or_mapping_attribute_rejected(value):
+    with pytest.raises(IngestError,
+                       match=r"record p7: author 1: attribute 'kw' is a"):
+        ingest([{"pub_id": "p7", "authors": [
+            "A. Aa", {"name": "B. Bb", "kw": value}]}])
+    with pytest.raises(IngestError,
+                       match=r"record 0 \(p7\): attribute 'kw' is a"):
+        ingest([{"pub_id": "p7", "kw": value, "authors": ["A. Aa"]}])
+
+
+@pytest.mark.parametrize("mode", ["Numeric", "bogus", ""])
+def test_unknown_name_mode_rejected(mode, tmp_path):
+    records = [{"pub_id": "p", "authors": ["1.0"]}]
+    path = tmp_path / "records.jsonl"
+    path.write_text(json.dumps(records[0]) + "\n")
+    for build in (lambda: ingest(records, name_mode=mode),
+                  lambda: ingest_file(path, name_mode=mode),
+                  lambda: Dataset([], [], name_mode=mode)):
+        with pytest.raises(IngestError, match="unknown name_mode"):
+            build()
 
 
 def test_string_authors_get_slot_ids():

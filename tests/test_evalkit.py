@@ -353,9 +353,8 @@ def test_rcer_sweep_equals_replay_then_score(seed):
     out = synthgen.generate(synthgen.GenParams(seed=seed))
     ds, gold = out.dataset, out.gold
     refs = sorted(ds.references)
-    exact_name = {"bootstrap_mode": "exact-name",
-                  "ambiguity": AmbiguityEstimator(ds).estimate,
-                  "ambiguity_cutoff": 0.01}
+    est = AmbiguityEstimator(ds)
+    exact_name = {"premerge": lambda name: est.estimate(name) < 0.01}
     for multiset, kwargs in ((False, {}), (True, {}), (False, exact_name)):
         cfg = replace(DEFAULT_CFG, merge_threshold=0.0,
                       multiset_neighborhood=multiset)

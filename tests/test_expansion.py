@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qer.corpus import Query
+from qer.corpus import Query, ingest
 from qer.expansion import (
     AmbiguityEstimator,
     ExpansionParams,
@@ -17,6 +17,8 @@ from qer.expansion import (
     x_h,
 )
 from qer import synthgen
+
+from conftest import CORPUS_RECORDS
 
 
 def test_params_validation():
@@ -87,11 +89,18 @@ def test_monotone_coverage(corpus_ds):
         assert smaller <= larger
 
 
-def test_estimator_naive(corpus_ds):
-    est = AmbiguityEstimator(corpus_ds, use_secondary=False)
-    assert est.estimate("w wang") == pytest.approx(0.3)
-    assert est.estimate("l li") == pytest.approx(0.1)
-    assert est.estimate("nobody") == 0.0
+def test_estimator_naive():
+    # numeric datasets use the naive estimate: the fixture corpus with
+    # each name replaced by a number ("W. Wang" -> "1.0", "L. Li" -> "4.0")
+    numbers = {"W. Wang": "1.0", "C. Chen": "2.0", "A. Ansari": "3.0",
+               "L. Li": "4.0", "W. W. Wang": "5.0"}
+    ds = ingest([{**rec, "authors": [{**a, "name": numbers[a["name"]]}
+                                     for a in rec["authors"]]}
+                 for rec in CORPUS_RECORDS], name_mode="numeric")
+    est = AmbiguityEstimator(ds)
+    assert est.estimate("1.0") == pytest.approx(0.3)
+    assert est.estimate("4.0") == pytest.approx(0.1)
+    assert est.estimate("9.0") == 0.0
 
 
 def test_estimator_conditional(corpus_ds):
@@ -102,10 +111,13 @@ def test_estimator_conditional(corpus_ds):
 
 def test_adaptive_depth(corpus_ds):
     est = AmbiguityEstimator(corpus_ds)
-    params = ExpansionParams(d_star=3, initials_cutoff=10)
+    params = ExpansionParams(d_star=3)
     assert adaptive_depth(est, Query(value="W. Wang"), params) == 1
-    disabled = ExpansionParams(d_star=3, initials_cutoff=0)
-    assert adaptive_depth(est, Query(value="W. Wang"), disabled) == 3
+    # "wang" with INITIALS_CUTOFF (10) distinct first initials
+    wide = ingest([{"pub_id": f"p{c}", "authors": [f"{c}. Wang"]}
+                   for c in "ABCDEFGHIJ"])
+    assert adaptive_depth(AmbiguityEstimator(wide), Query(value="W. Wang"),
+                          params) == 3
 
 
 def test_adaptive_x_h_bound_inactive(corpus_ds):

@@ -62,8 +62,7 @@ def test_bootstrap_exact_name_mode(corpus_ds):
     ambiguity = {"a ansari": 0.05, "w wang": 0.5, "w w wang": 0.5,
                  "c chen": 0.5, "l li": 0.5}
     parts = bootstrap(corpus_ds, sorted(corpus_ds.references),
-                      mode="exact-name", ambiguity=ambiguity.get,
-                      ambiguity_cutoff=0.1)
+                      premerge=lambda name: ambiguity[name] < 0.1)
     assert {"r10", "r3", "r5"} in [set(p) for p in parts]
     assert sum(len(p) for p in parts) == 10
     assert all(len(p) == 1 for p in parts if "r1" in p or "r8" in p)
@@ -337,3 +336,34 @@ def test_resolve_running_example(corpus_ds, text_cfg):
     nothing = resolve(corpus_ds, Query(value="Z. Zz"), params, text_cfg)
     assert not nothing.rset.answerable
     assert nothing.result is None and nothing.groups() == []
+
+
+ORDER_CORPORA = {
+    "text": CORPUS_RECORDS,
+    "numeric": synthgen.generate(synthgen.GenParams(
+        n_entities=12, n_relationships=20, n_hyperedges=30, p_a=0.5,
+        p_c=0.5, seed=4)).records,
+}
+
+
+def _answers(records, mode):
+    """Groups of adaptive queries for every distinct name, and the
+    full-corpus clusters."""
+    ds = ingest(records, name_mode=mode)
+    cfg = SimilarityConfig(alpha=0.5, epsilon=0.9,
+                           delta=0.7 if mode == "numeric" else 0.9,
+                           merge_threshold=0.4)
+    params = ExpansionParams(d_star=3, delta=cfg.delta, h_max=2.0,
+                             a_max=0.5)
+    names = sorted({r.name for r in ds.references.values()})
+    return ({n: resolve(ds, Query(n), params, cfg).groups() for n in names},
+            set(run_rcer(ds, ds.references, cfg).clusters))
+
+
+@pytest.mark.parametrize("mode", sorted(ORDER_CORPORA))
+@given(rng=st.randoms(use_true_random=False))
+@settings(max_examples=8, deadline=None)
+def test_record_order_does_not_change_answers(mode, rng):
+    records = list(ORDER_CORPORA[mode])
+    rng.shuffle(records)
+    assert _answers(records, mode) == _answers(ORDER_CORPORA[mode], mode)

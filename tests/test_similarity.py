@@ -80,6 +80,20 @@ def test_load_config(tmp_path):
         load_config(bad)
 
 
+@pytest.mark.parametrize("line, key", [
+    ("multiset_neighbourhood = true", "multiset_neighbourhood"),
+    ("merge_treshold = 0.9", "merge_treshold"),
+    ("multiset_neighborhood = yes please", "multiset_neighborhood"),
+])
+def test_load_config_rejects_what_it_does_not_read(tmp_path, line, key):
+    path = tmp_path / "sim.cfg"
+    path.write_text("alpha = 0.5\nepsilon = 0.98\ndelta = 0.9\n"
+                    "merge_threshold = 0.45\nattr_weights = name:1.0\n"
+                    + line + "\n")
+    with pytest.raises(ValueError, match=key):
+        load_config(path)
+
+
 @pytest.fixture
 def ctx(corpus_ds, text_cfg):
     return SimilarityContext(corpus_ds, text_cfg)
