@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -64,6 +65,20 @@ def name_buckets(names, numeric: bool):
     return buckets
 
 
+class CorpusStats:
+    """Token document frequencies over all reference name strings."""
+
+    def __init__(self, ds: Dataset):
+        self.n_docs = max(len(ds.references), 1)
+        self.df: Counter = Counter()
+        for r in ds.references.values():
+            for tok in set(name_tokens(r.norm_name)):
+                self.df[tok] += 1
+
+    def idf(self, token: str) -> float:
+        return math.log((1 + self.n_docs) / (1 + self.df.get(token, 0))) + 1.0
+
+
 def finite_number(text: str) -> float:
     """``float(text)``; ``ValueError`` naming ``text`` unless it is finite."""
     try:
@@ -113,9 +128,9 @@ class GoldLabeling:
 class Dataset:
     """Immutable after construction; safe for concurrent readers.
 
-    ``name_mode`` is one of ``NAME_MODES``.  ``name_buckets`` is built on
-    first use, not at ingest; two concurrent first readers may both compute
-    the same value.
+    ``name_mode`` is one of ``NAME_MODES``.  ``name_buckets`` and
+    ``corpus_stats`` are built on first use, not at ingest; two concurrent
+    first readers may both compute the same value.
     """
 
     def __init__(self, references, hyperedges, name_mode: str = "text"):
@@ -142,6 +157,11 @@ class Dataset:
     def name_buckets(self):
         """``name_buckets`` of the distinct names, built on first use."""
         return name_buckets(self.name_index, self.name_mode == "numeric")
+
+    @cached_property
+    def corpus_stats(self) -> CorpusStats:
+        """``CorpusStats`` of the references, built on first use."""
+        return CorpusStats(self)
 
     def _check_invariants(self):
         for r in self.references.values():

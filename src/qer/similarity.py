@@ -22,6 +22,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .corpus import (
+    CorpusStats,
     Dataset,
     blocking_key,
     first_initial,
@@ -118,20 +119,6 @@ def jaro_winkler(s1: str, s2: str) -> float:
     return j + prefix * WINKLER_SCALE * (1 - j)
 
 
-class CorpusStats:
-    """Token document frequencies over all reference name strings."""
-
-    def __init__(self, ds: Dataset):
-        self.n_docs = max(len(ds.references), 1)
-        self.df: Counter = Counter()
-        for r in ds.references.values():
-            for tok in set(name_tokens(r.norm_name)):
-                self.df[tok] += 1
-
-    def idf(self, token: str) -> float:
-        return math.log((1 + self.n_docs) / (1 + self.df.get(token, 0))) + 1.0
-
-
 def _tfidf_vector(tokens, stats: CorpusStats) -> dict[str, float]:
     tf = Counter(tokens)
     vec = {t: c * stats.idf(t) for t, c in tf.items()}
@@ -218,13 +205,14 @@ def delta_neighbours(name: str, buckets, numeric: bool = False,
 
 
 class SimilarityContext:
-    """Caches per-dataset corpus statistics and pairwise name scores."""
+    """Reads the dataset's corpus statistics (``Dataset.corpus_stats``,
+    built once per dataset) and caches pairwise name scores per run."""
 
     def __init__(self, ds: Dataset, cfg: SimilarityConfig):
         self.ds = ds
         self.cfg = cfg
         self.numeric = ds.name_mode == "numeric"
-        self.stats = None if self.numeric else CorpusStats(ds)
+        self.stats = None if self.numeric else ds.corpus_stats
         self._name_cache: dict[tuple[str, str], float] = {}
 
     def name_sim(self, n1: str, n2: str) -> float:

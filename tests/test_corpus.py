@@ -322,6 +322,14 @@ def test_stored_name_is_normalized_name(tmp_path):
         assert by_name.setdefault(r.norm_name, r.norm_name) is r.norm_name
 
 
+def test_set_up_builds_no_statistics(tmp_path):
+    # the lazily built indexes wait for the first query, so timing set-up
+    # does not time them
+    for how, ds in _built_datasets(tmp_path).items():
+        assert "corpus_stats" not in ds.__dict__, how
+        assert "name_buckets" not in ds.__dict__, how
+
+
 def test_snapshot_bytes_unchanged(corpus_ds, tmp_path):
     path = tmp_path / "snap.txt"
     save_snapshot(corpus_ds, path)

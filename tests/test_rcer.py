@@ -1,5 +1,6 @@
 import heapq
 import itertools
+import random
 from collections import Counter
 from dataclasses import replace
 
@@ -367,3 +368,29 @@ def test_record_order_does_not_change_answers(mode, rng):
     records = list(ORDER_CORPORA[mode])
     rng.shuffle(records)
     assert _answers(records, mode) == _answers(ORDER_CORPORA[mode], mode)
+
+
+def _query_log(ds, name):
+    """The merge log, with each similarity's exact bits, and the groups
+    of the text query ``name`` on ``ds``."""
+    cfg = SimilarityConfig(alpha=0.5, epsilon=0.9, delta=0.9,
+                           merge_threshold=0.0)
+    params = ExpansionParams(d_star=3, delta=cfg.delta, h_max=2.0, a_max=0.5)
+    answer = resolve(ds, Query(name), params, cfg)
+    return ([(sim.hex(), a, b, new) for sim, a, b, new
+             in answer.result.merge_log], answer.groups())
+
+
+@pytest.mark.parametrize("shuffled", [False, True])
+def test_queries_leave_no_state_behind(shuffled):
+    # a query on a dataset that already answered others gives what it
+    # gives on a freshly ingested one, whatever came before it
+    records = list(CORPUS_RECORDS)
+    if shuffled:
+        random.Random(5).shuffle(records)
+    names = sorted({r.name for r in ingest(records).references.values()})
+    alone = {n: _query_log(ingest(records), n) for n in names}
+    assert any(log for log, _ in alone.values())
+    for order in (names, names[::-1]):
+        ds = ingest(records)
+        assert {n: _query_log(ds, n) for n in order} == alone

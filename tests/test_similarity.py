@@ -5,8 +5,10 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qer.corpus import ingest, normalize_name
-from qer.rcer import ClusterState
+import qer.corpus
+from qer.corpus import Query, ingest, normalize_name
+from qer.expansion import ExpansionParams
+from qer.rcer import ClusterState, resolve
 from qer.similarity import (
     CorpusStats,
     SimilarityConfig,
@@ -129,6 +131,31 @@ def test_identical_token_multisets_score_one():
     ds = ingest(CORPUS_RECORDS)
     stats = CorpusStats(ds)
     assert soft_tfidf(["w", "wang"], ["w", "wang"], stats) == pytest.approx(1.0)
+
+
+def test_corpus_stats_built_once_per_dataset(monkeypatch, text_cfg,
+                                            numeric_cfg):
+    assert CorpusStats is qer.corpus.CorpusStats  # re-exported
+    built = []
+    monkeypatch.setattr(qer.corpus, "CorpusStats",
+                        lambda ds: built.append(ds) or CorpusStats(ds))
+    ds = ingest(CORPUS_RECORDS)
+    contexts = [SimilarityContext(ds, text_cfg) for _ in range(2)]
+    params = ExpansionParams(d_star=3, delta=text_cfg.delta)
+    for name in ("W. Wang", "C. Chen", "A. Ansari", "W. Wang"):
+        assert resolve(ds, Query(name), params, text_cfg).groups()
+    assert built == [ds]
+    assert contexts[0].stats is contexts[1].stats is ds.corpus_stats
+    fresh = CorpusStats(ds)
+    assert ds.corpus_stats.n_docs == fresh.n_docs == 10
+    assert ds.corpus_stats.df == fresh.df
+
+    num = ingest([{"pub_id": "p", "authors": ["1.0", "1.5", "4.0"]}],
+                 name_mode="numeric")
+    assert SimilarityContext(num, numeric_cfg).stats is None
+    assert resolve(num, Query("1.0"), params, numeric_cfg).groups()
+    assert built == [ds]
+    assert "corpus_stats" not in num.__dict__
 
 
 def test_numeric_sim():
