@@ -12,6 +12,9 @@ from . import analysis, corpus, evalkit, expansion, rcer, similarity, synthgen
 DEFAULT_CFG = similarity.SimilarityConfig(
     alpha=0.5, epsilon=0.9, delta=0.9, merge_threshold=0.5)
 SWEEP = [i / 20 for i in range(21)]
+# each --baseline name and the evalkit resolver kind it selects
+BASELINES = {"A": "A", "A*": "A_star", "NR": "NR", "NR*": "NR_star",
+             "RC-ER": "RCER"}
 
 
 def _load_cfg(args) -> similarity.SimilarityConfig:
@@ -25,7 +28,7 @@ def _load_dataset(args) -> corpus.Dataset:
         return corpus.load_snapshot(args.dataset)
     if args.records:
         return corpus.ingest_file(args.records, name_mode=args.name_mode)
-    raise SystemExit("either --dataset or --records is required")
+    raise ValueError("either --dataset or --records is required")
 
 
 def _emit(args, groups, extra=None):
@@ -59,12 +62,12 @@ def cmd_query(args) -> int:
     if args.ref_id:
         ref = ds.references.get(args.ref_id)
         if ref is None:
-            raise SystemExit(f"unknown reference id: {args.ref_id}")
+            raise ValueError(f"unknown reference id: {args.ref_id}")
         value = ref.name
     elif args.value:
         value = args.value
     else:
-        raise SystemExit("a query value or --ref-id is required")
+        raise ValueError("a query value or --ref-id is required")
     params = expansion.ExpansionParams(
         d_star=args.depth, delta=cfg.delta,
         h_max=args.h_max, a_max=args.a_max,
@@ -120,8 +123,7 @@ def cmd_eval(args) -> int:
     ds = _load_dataset(args)
     cfg = _load_cfg(args)
     gold = corpus.load_gold(args.gold)
-    kind = {"A*": "A_star", "NR*": "NR_star",
-            "RC-ER": "RCER"}.get(args.baseline, args.baseline)
+    kind = BASELINES[args.baseline]
     refs = set(ds.references)
     if args.sweep:
         sweep = evalkit.threshold_sweep(kind, ds, refs, cfg, SWEEP, gold)
@@ -154,6 +156,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="similarity configuration file")
     p.add_argument("--output", choices=("text", "structured"), default="text")
     sub = p.add_subparsers(dest="command", required=True)
+    data = argparse.ArgumentParser(add_help=False)
+    data.add_argument("--dataset", help="dataset snapshot")
+    data.add_argument("--records", help="record file to ingest")
+    data.add_argument("--name-mode", choices=corpus.NAME_MODES, default="text")
 
     pi = sub.add_parser("ingest", help="parse records and snapshot a dataset")
     pi.add_argument("records")
@@ -161,12 +167,10 @@ def build_parser() -> argparse.ArgumentParser:
     pi.add_argument("--name-mode", choices=corpus.NAME_MODES, default="text")
     pi.set_defaults(fn=cmd_ingest)
 
-    pq = sub.add_parser("query", help="resolve the entities for a name")
+    pq = sub.add_parser("query", parents=[data],
+                        help="resolve the entities for a name")
     pq.add_argument("value", nargs="?")
     pq.add_argument("--ref-id", help="query by reference id instead of name")
-    pq.add_argument("--dataset")
-    pq.add_argument("--records")
-    pq.add_argument("--name-mode", choices=corpus.NAME_MODES, default="text")
     pq.add_argument("--depth", type=int, default=3)
     pq.add_argument("--threshold", type=float)
     pq.add_argument("--sweep", action="store_true",
@@ -190,27 +194,20 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--gold-out", default="synth_gold.txt")
     ps.set_defaults(fn=cmd_synth)
 
-    pe = sub.add_parser("eval", help="score a resolver against gold labels")
-    pe.add_argument("--dataset")
-    pe.add_argument("--records")
-    pe.add_argument("--name-mode", choices=corpus.NAME_MODES, default="text")
+    pe = sub.add_parser("eval", parents=[data],
+                        help="score a resolver against gold labels")
     pe.add_argument("--gold", required=True)
-    pe.add_argument("--baseline", default="RCER",
-                    choices=("A", "A*", "A_star", "NR", "NR*", "NR_star",
-                             "RCER", "RC-ER"))
+    pe.add_argument("--baseline", default="RC-ER", choices=BASELINES)
     pe.add_argument("--threshold", type=float)
     pe.add_argument("--sweep", action="store_true")
     pe.set_defaults(fn=cmd_eval)
 
-    pa = sub.add_parser("analyze", help="structural probabilities and "
-                                        "model predictions")
+    pa = sub.add_parser("analyze", parents=[data],
+                        help="structural probabilities and model predictions")
     pa.add_argument("--closed-form", action="store_true")
     pa.add_argument("--a", type=float, default=0.0)
     pa.add_argument("--r", type=float, default=0.0)
     pa.add_argument("--n", type=int, default=0)
-    pa.add_argument("--dataset")
-    pa.add_argument("--records")
-    pa.add_argument("--name-mode", choices=corpus.NAME_MODES, default="text")
     pa.add_argument("--gold")
     pa.add_argument("--depth", type=int, default=3)
     pa.set_defaults(fn=cmd_analyze)

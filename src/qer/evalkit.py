@@ -21,8 +21,9 @@ from .corpus import Dataset, GoldLabeling, Query
 from .expansion import AmbiguityEstimator, ExpansionParams
 # partition_at_threshold is unused here; bench/tracing.py times it here
 from .rcer import (RcerResult, block_candidates,  # noqa: F401
-                   partition_at_threshold, resolve, run_rcer)
-from .similarity import SimilarityConfig, SimilarityContext
+                   check_replayable, partition_at_threshold, resolve,
+                   run_rcer)
+from .similarity import SimilarityConfig, SimilarityContext, greedy_matching
 from . import synthgen
 
 BASELINE_KINDS = ("A", "A_star", "NR", "NR_star", "RCER")
@@ -71,15 +72,9 @@ def pairwise_metrics(pred, gold: GoldLabeling, scope: set[str]
         raise ValueError("prediction does not cover the evaluation scope")
     if not gold.covers(scope):
         raise ValueError("gold labeling does not cover the evaluation scope")
-    cell_sizes: dict[tuple, int] = {}
-    cluster_sizes: dict[int, int] = {}
-    for rid in scope:
-        c = label[rid]
-        cluster_sizes[c] = cluster_sizes.get(c, 0) + 1
-        key = (c, gold.entity_of(rid))
-        cell_sizes[key] = cell_sizes.get(key, 0) + 1
-    tp = sum(n * (n - 1) // 2 for n in cell_sizes.values())
-    pred_pairs = sum(n * (n - 1) // 2 for n in cluster_sizes.values())
+    cells = Counter((c, gold.entity_of(rid)) for rid, c in label.items())
+    tp = _pairs_within(cells.values())
+    pred_pairs = _pairs_within(Counter(label.values()).values())
     gold_pairs = _gold_pair_count(gold, scope)
     return _metrics_from_counts(tp, pred_pairs - tp, gold_pairs - tp)
 
@@ -154,9 +149,7 @@ def replay_sweep(result: RcerResult, thresholds, gold: GoldLabeling, scope
     """``pairwise_metrics(partition_at_threshold(result, t), gold, scope)``
     at each threshold t, from one pass over the merge log."""
     ts = _check_sweep(thresholds, gold, scope)
-    if min(ts) < result.merge_threshold:
-        raise ValueError(f"cannot replay at threshold {min(ts)}: the merge "
-                         f"log was recorded at {result.merge_threshold}")
+    check_replayable(result, min(ts))
     ents = {cid: Counter(gold.entity_of(r) for r in m if r in scope)
             for cid, m in result.initial_clusters}
     groups = {cid: (e.total(), e) for cid, e in ents.items()}
@@ -197,20 +190,10 @@ def _nr_relational_term(ds: Dataset, ctx: SimilarityContext,
     n1, n2 = conames(r1), conames(r2)
     if not n1 or not n2:
         return 0.0
-    scored = sorted(
-        ((ctx.name_sim(a, b), i, j)
-         for i, a in enumerate(n1) for j, b in enumerate(n2)),
-        key=lambda t: (-t[0], t[1], t[2]))
-    used1: set[int] = set()
-    used2: set[int] = set()
-    total = 0.0
-    for s, i, j in scored:
-        if i in used1 or j in used2:
-            continue
-        used1.add(i)
-        used2.add(j)
-        total += s
-    return total / min(len(n1), len(n2))
+    matches = greedy_matching((ctx.name_sim(a, b), i, j)
+                              for i, a in enumerate(n1)
+                              for j, b in enumerate(n2))
+    return sum([s for s, _, _ in matches], 0.0) / min(len(n1), len(n2))
 
 
 def threshold_sweep(kind: str, ds: Dataset, refs, cfg: SimilarityConfig,

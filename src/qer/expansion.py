@@ -121,33 +121,33 @@ def adaptive_depth(est: AmbiguityEstimator, query: Query,
     return params.d_star
 
 
-def _rank_key(ds: Dataset, est: AmbiguityEstimator, rid: str):
-    return (est.estimate(ds.references[rid].norm_name),
-            ds.references[rid].norm_name, rid)
+def _by_ambiguity(ds: Dataset, est: AmbiguityEstimator, rids, k: int,
+                  most: bool = False) -> list[str]:
+    """The k least (with ``most``, the k most) ambiguous of the reference
+    ids; ties by name, then id."""
+    def key(rid: str):
+        name = ds.references[rid].norm_name
+        return est.estimate(name), name, rid
+    return sorted(rids, key=key, reverse=most)[:k]
 
 
 def adaptive_x_h(ds: Dataset, frontier, h_max: float,
                  est: AmbiguityEstimator) -> set[str]:
     """The k least-ambiguous co-occurring references, k = floor(h_max *
-    |frontier|); ties by name then id."""
+    |frontier|)."""
     k = int(h_max * len(frontier))
     full = x_h(ds, frontier)
     if len(full) <= k:
         return full
-    ranked = sorted(full, key=lambda rid: _rank_key(ds, est, rid))
-    return set(ranked[:k])
+    return set(_by_ambiguity(ds, est, full, k))
 
 
 def adaptive_x_a(ds: Dataset, frontier, a_max: float,
                  est: AmbiguityEstimator) -> set[str]:
     """Exact-name expansion of only the k most-ambiguous frontier
     references, k = ceil(a_max * |frontier|)."""
-    if not frontier:
-        return set()
     k = math.ceil(a_max * len(frontier))
-    ranked = sorted(frontier, key=lambda rid: _rank_key(ds, est, rid),
-                    reverse=True)
-    return x_a_exact(ds, ranked[:k])
+    return x_a_exact(ds, _by_ambiguity(ds, est, frontier, k, most=True))
 
 
 def build_relevant_set(ds: Dataset, q: Query,

@@ -219,10 +219,8 @@ def run_rcer(ds: Dataset, refs, cfg: SimilarityConfig,
             else state.nbr[a].keys() & state.nbr[b].keys()
         new = state.merge(a, b)
         merge_log.append((sim, a, b, new))
-        partners = (cand.pop(a, set()) | cand.pop(b, set())) - {a, b}
-        live_partners = {p for p in partners if p in state.members}
-        cand[new] = live_partners
-        for p in live_partners:
+        cand[new] = (cand.pop(a) | cand.pop(b)) - {a, b}
+        for p in cand[new]:
             cand[p].discard(a)
             cand[p].discard(b)
             cand[p].add(new)
@@ -249,16 +247,21 @@ def run_rcer(ds: Dataset, refs, cfg: SimilarityConfig,
     )
 
 
-def partition_at_threshold(result: RcerResult, threshold: float) -> list[set[str]]:
-    """Replay the merge log, stopping at the first merge whose extraction
-    similarity falls below ``threshold``.  Equivalent to a fresh run at that
-    threshold, since the threshold only controls when the loop stops; a
-    threshold below the one the log was recorded at would need merges the
-    log does not hold, so it raises ``ValueError``."""
+def check_replayable(result: RcerResult, threshold: float):
+    """``ValueError`` if ``threshold`` is below the one the merge log was
+    recorded at: replaying there would need merges the log does not hold."""
     if threshold < result.merge_threshold:
         raise ValueError(
             f"cannot replay at threshold {threshold}: the merge log was "
             f"recorded at {result.merge_threshold}")
+
+
+def partition_at_threshold(result: RcerResult, threshold: float) -> list[set[str]]:
+    """Replay the merge log, stopping at the first merge whose extraction
+    similarity falls below ``threshold``.  Equivalent to a fresh run at that
+    threshold, since the threshold only controls when the loop stops
+    (within ``check_replayable``'s bound)."""
+    check_replayable(result, threshold)
     members = {cid: set(m) for cid, m in result.initial_clusters}
     for sim, c1, c2, new in result.merge_log:
         if sim < threshold:

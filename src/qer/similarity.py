@@ -128,28 +128,29 @@ def _tfidf_vector(tokens, stats: CorpusStats) -> dict[str, float]:
     return {t: v / norm for t, v in vec.items()}
 
 
+def greedy_matching(scored) -> list[tuple]:
+    """The (score, x, y) of a greedy one-to-one matching of the scored
+    (score, x, y) candidates: highest score first, ties by x, then by y."""
+    used_x, used_y, matches = set(), set(), []
+    for c in sorted(scored, key=lambda c: (-c[0], c[1], c[2])):
+        if c[1] not in used_x and c[2] not in used_y:
+            used_x.add(c[1])
+            used_y.add(c[2])
+            matches.append(c)
+    return matches
+
+
 def soft_tfidf(tokens1, tokens2, stats: CorpusStats) -> float:
     """Greedy one-to-one Soft TF-IDF; symmetric and bounded in [0, 1]."""
     v1 = _tfidf_vector(tokens1, stats)
     v2 = _tfidf_vector(tokens2, stats)
     if not v1 or not v2:
         return 0.0
-    candidates = []
-    for t1 in v1:
-        for t2 in v2:
-            s = 1.0 if t1 == t2 else jaro_winkler(t1, t2)
-            if s >= SOFT_TFIDF_THRESHOLD:
-                candidates.append((s, t1, t2))
-    candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
-    used1, used2 = set(), set()
-    score = 0.0
-    for s, t1, t2 in candidates:
-        if t1 in used1 or t2 in used2:
-            continue
-        used1.add(t1)
-        used2.add(t2)
-        score += v1[t1] * v2[t2] * s
-    return min(score, 1.0)
+    matches = greedy_matching(
+        [(s, t1, t2) for t1 in v1 for t2 in v2
+         if (s := 1.0 if t1 == t2 else jaro_winkler(t1, t2))
+         >= SOFT_TFIDF_THRESHOLD])
+    return min(sum([v1[t1] * v2[t2] * s for s, t1, t2 in matches], 0.0), 1.0)
 
 
 def numeric_sim(x1: float, x2: float) -> float:
@@ -278,7 +279,7 @@ class SimilarityContext:
         # plain TF-IDF cosine (exact token matches) for non-name attributes
         stats = self.stats
         if stats is None:
-            return 1.0 if v1 == v2 else 0.0
+            return 0.0
         va = _tfidf_vector(t1, stats)
         vb = _tfidf_vector(t2, stats)
         return min(sum(va[t] * vb.get(t, 0.0) for t in va), 1.0)

@@ -144,6 +144,36 @@ def test_eval_rcer_alias(records_file, gold_file, capsys):
     assert "baseline=RC-ER" in capsys.readouterr().out
 
 
+def test_eval_defaults_to_rcer(records_file, gold_file, capsys):
+    assert main(["eval", "--records", records_file, "--gold", gold_file,
+                 "--threshold", "0.5"]) == 0
+    assert capsys.readouterr().out.startswith("baseline=RC-ER\t")
+
+
+@pytest.mark.parametrize("baseline", ["A_star", "NR_star", "RCER"])
+def test_eval_refuses_internal_kind_names(records_file, gold_file, baseline,
+                                          capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--records", records_file, "--gold", gold_file,
+              "--baseline", baseline])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["W. Wang"], "either --dataset or --records is required"),
+    (["--ref-id", "r99", "--records", "RECORDS"],
+     "unknown reference id: r99"),
+    (["--records", "RECORDS"], "a query value or --ref-id is required"),
+])
+def test_query_usage_errors_exit_2(records_file, argv, message, capsys):
+    argv = [records_file if a == "RECORDS" else a for a in argv]
+    assert main(["query", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert not captured.out
+
+
 @pytest.mark.parametrize("baseline", ["A", "A*", "NR", "NR*", "RC-ER"])
 @pytest.mark.parametrize("threshold", ["1.5", "nan", "-0.2"])
 def test_eval_rejects_threshold_out_of_range(records_file, gold_file,

@@ -341,3 +341,58 @@ def test_reference_repr_hides_norm_name():
     r = Reference(id="r1", name="W.  Wang")
     assert r.norm_name == "w wang"
     assert "norm_name" not in repr(r) and "w wang" not in repr(r)
+
+
+def _snapshot(tmp_path, refs, edges, header=SNAPSHOT_HEADER):
+    path = tmp_path / "snap.txt"
+    path.write_text(header + "\n"
+                    + json.dumps({"references": refs, "hyperedges": edges}))
+    return path
+
+
+def _ref(rid, *edges):
+    return {"id": rid, "name": "A. Aa", "hyperedges": list(edges)}
+
+
+@pytest.mark.parametrize("refs, edges, match", [
+    ([_ref("a", "p"), _ref("b", "p")], [{"id": "p", "refs": ["a"]}],
+     "reference b lists hyper-edge p which does not list it back"),
+    ([_ref("a", "q")], [], "reference a lists hyper-edge q"),
+    ([], [{"id": "p", "refs": []}], "hyper-edge p is empty"),
+    ([_ref("a", "p")], [{"id": "p", "refs": ["a", "a"]}],
+     "hyper-edge p has duplicate references"),
+    ([_ref("a", "p")], [{"id": "p", "refs": ["a", "z"]}],
+     "hyper-edge p lists unknown/inconsistent reference z"),
+    ([_ref("a", "p"), _ref("b")], [{"id": "p", "refs": ["a", "b"]}],
+     "hyper-edge p lists unknown/inconsistent reference b"),
+])
+def test_inconsistent_snapshot_names_the_edge_or_reference(tmp_path, refs,
+                                                           edges, match):
+    with pytest.raises(IngestError, match=match):
+        load_snapshot(_snapshot(tmp_path, refs, edges))
+
+
+def test_snapshot_with_a_wrong_header_is_refused(tmp_path):
+    path = _snapshot(tmp_path, [], [], header="qer-dataset-v0")
+    with pytest.raises(IngestError,
+                       match="unrecognized snapshot header 'qer-dataset-v0'"):
+        load_snapshot(path)
+
+
+@pytest.mark.parametrize("record, match", [
+    (["W. Wang"], r"record 1: not a mapping"),
+    ({"pub_id": "p", "authors": ["A. Aa", 7]},
+     r"record p: malformed author entry 7"),
+    ({"pub_id": "p", "authors": ["A. Aa", "  "]},
+     r"record 1 \(p\): empty author name"),
+    ({"pub_id": "p", "authors": [{"id": "x", "name": " "}]},
+     r"record 1 \(p\): empty author name"),
+    ({"pub_id": "p", "authors": [{"id": "x", "name": "A. Aa"},
+                                 {"id": "x", "name": "B. Bb"}]},
+     r"record 1 \(p\): duplicate ref id x"),
+    ({"pub_id": "p", "authors": [{"id": "r1", "name": "W. Wang"}]},
+     r"record 1 \(p\): duplicate ref id r1"),
+])
+def test_malformed_record_names_the_record(record, match):
+    with pytest.raises(IngestError, match=match):
+        ingest([CORPUS_RECORDS[0], record])

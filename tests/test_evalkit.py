@@ -254,6 +254,22 @@ def test_trend_report_shape():
         run_trend_experiment("bogus", [1], range(1), base, cfg)
 
 
+def test_level_convergence_report():
+    cfg = SimilarityConfig(alpha=0.5, epsilon=0.8, delta=0.7,
+                           merge_threshold=0.0)
+    base = synthgen.GenParams(n_entities=20, n_relationships=40,
+                              n_hyperedges=60, p_a=0.4, p_c=0.5)
+    levels, thresholds, seeds = (0, 1, 2), [0.3, 0.6], [1, 2]
+    rep = run_trend_experiment("level_convergence", None, seeds, base, cfg,
+                               thresholds=thresholds, levels=levels)
+    assert len(rep.rows) == len(levels) * len(thresholds) * 2
+    assert {s for s, *_ in rep.rows} == {
+        f"level={d}:{m}" for d in levels for m in ("recall", "precision")}
+    for _, _, mean, _, n_runs in rep.rows:
+        assert n_runs == len(seeds)
+        assert 0.0 <= mean <= 1.0
+
+
 def test_baseline_sweeps_pinned():
     # (tp, fp, fn) of the four attribute baselines over the CLI's 21-point
     # grid, computed by scoring afresh at each threshold

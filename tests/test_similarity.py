@@ -14,6 +14,7 @@ from qer.similarity import (
     SimilarityConfig,
     SimilarityContext,
     delta_similar_names,
+    greedy_matching,
     jaccard,
     jaro_winkler,
     levenshtein,
@@ -156,6 +157,20 @@ def test_corpus_stats_built_once_per_dataset(monkeypatch, text_cfg,
     assert resolve(num, Query("1.0"), params, numeric_cfg).groups()
     assert built == [ds]
     assert "corpus_stats" not in num.__dict__
+
+
+@given(st.lists(st.tuples(st.sampled_from([0.0, 0.5, 0.9, 1.0]),
+                          st.integers(0, 3), st.integers(0, 3))))
+def test_greedy_matching_is_one_to_one_and_greedy(scored):
+    matches = list(greedy_matching(scored))
+    assert len({x for _, x, _ in matches}) == len(matches)
+    assert len({y for _, _, y in matches}) == len(matches)
+    assert matches == sorted(matches, key=lambda c: (-c[0], c[1], c[2]))
+    # every candidate left out shares an end with a match taken before it
+    for c in set(scored) - set(matches):
+        assert any((m[1] == c[1] or m[2] == c[2])
+                   and (-m[0], m[1], m[2]) <= (-c[0], c[1], c[2])
+                   for m in matches)
 
 
 def test_numeric_sim():
@@ -351,3 +366,66 @@ def test_merging_two_shared_neighbors_can_decrease_relational_sim():
     assert sim_after_merging(m1, m2) == 1 / 3
     # merging a c1-only with a c2-only neighbor adds a shared one
     assert sim_after_merging(k, j) == 1.0
+
+
+TITLED = [
+    {"pub_id": "p1", "title": "Entity Resolution at Query Time",
+     "authors": [{"id": "a", "name": "W. Wang"}]},
+    {"pub_id": "p2", "title": "entity  resolution AT query time",
+     "authors": [{"id": "c", "name": "W. W. Wang"}]},
+    {"pub_id": "p3", "title": "Graph Mining",
+     "authors": [{"id": "d", "name": "W. Wang"}]},
+    {"pub_id": "p4", "title": "Query Graphs",
+     "authors": [{"id": "g", "name": "C. Chen"}]},
+    {"pub_id": "p5", "authors": [{"id": "e", "name": "W. Wang"}]},
+]
+TITLE_WEIGHTS = {"name": 0.7, "title": 0.3}
+
+
+def _titled_ctx(numeric=False):
+    records = TITLED
+    if numeric:  # the same records, every name a number
+        records = [{**rec, "authors": [{**a, "name": "1.5"}
+                                       for a in rec["authors"]]}
+                   for rec in TITLED]
+    ds = ingest(records, name_mode="numeric" if numeric else "text")
+    cfg = SimilarityConfig(alpha=0.5, epsilon=0.9, delta=0.9,
+                           merge_threshold=0.5, attr_weights=TITLE_WEIGHTS)
+    return ds, SimilarityContext(ds, cfg)
+
+
+def _title_part(ds, ctx, r1, r2):
+    """The title's share of the two references' attribute similarity."""
+    name = ctx.name_sim(ds.references[r1].norm_name,
+                        ds.references[r2].norm_name)
+    return ctx.ref_attribute_sim(r1, r2) - TITLE_WEIGHTS["name"] * name
+
+
+def test_extra_attribute_is_symmetric_and_bounded():
+    for numeric in (False, True):
+        ds, ctx = _titled_ctx(numeric)
+        for r1, r2 in combinations(sorted(ds.references), 2):
+            s = ctx.ref_attribute_sim(r1, r2)
+            assert s == ctx.ref_attribute_sim(r2, r1)
+            assert 0.0 <= s <= 1.0
+
+
+def test_extra_attribute_weighs_equal_missing_and_disjoint_titles():
+    ds, ctx = _titled_ctx()
+    # equal as normalized token sequences: the full weight
+    assert _title_part(ds, ctx, "a", "c") == pytest.approx(0.3)
+    # a missing title, or titles without a shared token, add nothing
+    assert _title_part(ds, ctx, "a", "e") == pytest.approx(0.0)
+    assert _title_part(ds, ctx, "a", "d") == pytest.approx(0.0)
+    # one shared token of several: some, not all, of the weight
+    assert 0.0 < _title_part(ds, ctx, "a", "g") < 0.3
+    assert ctx.attribute_sim({"name": "w wang", "title": "Graph Mining"},
+                             {"name": "w wang", "title": None}) \
+        == pytest.approx(0.7)
+
+
+def test_extra_attribute_on_numeric_dataset_scores_equal_tokens_only():
+    ds, ctx = _titled_ctx(numeric=True)
+    assert _title_part(ds, ctx, "a", "c") == pytest.approx(0.3)
+    for other in ("d", "e", "g"):  # disjoint, missing, one shared token
+        assert _title_part(ds, ctx, "a", other) == pytest.approx(0.0)
