@@ -11,8 +11,10 @@ import json
 import math
 import sys
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 
 
 class IngestError(ValueError):
@@ -89,17 +91,23 @@ def finite_number(text: str) -> float:
     raise ValueError(f"numeric value {text!r} is not a finite number")
 
 
-@dataclass(eq=False)  # identity comparison: each mention is unique
+# the extra attributes of every reference and hyper-edge that has none
+NO_ATTRS: Mapping[str, str] = MappingProxyType({})
+
+
+@dataclass(eq=False, slots=True)  # identity comparison: each mention is unique
 class Reference:
     """One name mention.  ``norm_name`` is ``normalize_name(name)``, computed
     once, when the reference is built; ``name`` is not reassigned afterwards.
     An already normalized name (every numeric one) is stored as itself and
-    the others are interned, so equal names share one string."""
+    the others are interned, so equal names share one string.
+    ``extra_attrs`` and ``hyperedges`` are read-only and may be shared with
+    other references."""
 
     id: str
     name: str
-    extra_attrs: dict[str, str] = field(default_factory=dict)
-    hyperedges: set[str] = field(default_factory=set)
+    extra_attrs: Mapping[str, str] = field(default_factory=lambda: NO_ATTRS)
+    hyperedges: frozenset[str] = frozenset()
     norm_name: str = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -107,11 +115,11 @@ class Reference:
         self.norm_name = self.name if norm == self.name else sys.intern(norm)
 
 
-@dataclass
+@dataclass(slots=True)
 class HyperEdge:
     id: str
     refs: tuple[str, ...]
-    extra_attrs: dict[str, str] = field(default_factory=dict)
+    extra_attrs: Mapping[str, str] = field(default_factory=lambda: NO_ATTRS)
 
 
 @dataclass
@@ -128,9 +136,15 @@ class GoldLabeling:
 class Dataset:
     """Immutable after construction; safe for concurrent readers.
 
-    ``name_mode`` is one of ``NAME_MODES``.  ``name_buckets`` and
-    ``corpus_stats`` are built on first use, not at ingest; two concurrent
-    first readers may both compute the same value.
+    ``name_mode`` is one of ``NAME_MODES``.  ``name_index`` maps each
+    normalized name to the tuple of its reference ids, in reference order.
+    Each reference's ``hyperedges`` is a ``frozenset`` and its
+    ``extra_attrs`` a read-only mapping; ``ingest`` gives all authors of one
+    record one ``hyperedges`` object, and the record's own mapping to every
+    author without attributes of its own (``NO_ATTRS`` where there are
+    none).  ``name_buckets`` and ``corpus_stats`` are built on first use,
+    not at ingest; two concurrent first readers may both compute the same
+    value.
     """
 
     def __init__(self, references, hyperedges, name_mode: str = "text"):
@@ -139,19 +153,22 @@ class Dataset:
         self.references: dict[str, Reference] = {r.id: r for r in references}
         self.hyperedges: dict[str, HyperEdge] = {h.id: h for h in hyperedges}
         self.name_mode = name_mode
-        self.name_index: dict[str, set[str]] = {}
-        self._build_indexes()
+        self.name_index: dict[str, tuple[str, ...]] = self._name_index()
         self._check_invariants()
 
-    def _build_indexes(self):
+    def _name_index(self) -> dict[str, tuple[str, ...]]:
+        ids: dict = {}
         for r in self.references.values():
             norm = r.norm_name
-            self.name_index.setdefault(norm, set()).add(r.id)
+            ids.setdefault(norm, []).append(r.id)
             if self.name_mode == "numeric":
                 try:
                     finite_number(norm)
                 except ValueError as e:
                     raise IngestError(f"reference {r.id}: {e}") from None
+        for n, group in ids.items():  # in place: one dict at the peak
+            ids[n] = tuple(group)
+        return ids
 
     @cached_property
     def name_buckets(self):
@@ -220,19 +237,28 @@ def _extras(fields: dict, skip: tuple, where: str) -> dict[str, str]:
     return extra
 
 
-def _author_entry(entry, pub_id: str, slot: int):
-    """Accept either a bare name string or {"id":..., "name":..., ...}."""
+def _author_entry(entry, pub_id: str, slot: int,
+                  record_attrs: Mapping[str, str], edges: frozenset[str]):
+    """Accept either a bare name string or {"id":..., "name":..., ...}.
+    An author without attributes of its own shares ``record_attrs``; one
+    with its own gets a mapping of them followed by the record's ones it
+    lacks."""
     if isinstance(entry, str):
-        return Reference(id=f"{pub_id}:{slot}", name=entry)
+        return Reference(id=f"{pub_id}:{slot}", name=entry,
+                         extra_attrs=record_attrs, hyperedges=edges)
     if isinstance(entry, dict):
         name = entry.get("name")
         if not name:
             raise IngestError(f"record {pub_id}: author {slot} has no name")
+        own = _extras(entry, ("id", "name"), f"record {pub_id}: author {slot}")
+        if own:
+            for k, v in record_attrs.items():
+                own.setdefault(k, v)
         return Reference(
             id=str(entry.get("id", f"{pub_id}:{slot}")),
             name=str(name),
-            extra_attrs=_extras(entry, ("id", "name"),
-                                f"record {pub_id}: author {slot}"),
+            extra_attrs=MappingProxyType(own) if own else record_attrs,
+            hyperedges=edges,
         )
     raise IngestError(f"record {pub_id}: malformed author entry {entry!r}")
 
@@ -264,21 +290,19 @@ def ingest(records, name_mode: str = "text") -> Dataset:
         if not isinstance(authors, list):
             raise IngestError(f"{where} ({pub_id}): authors is not a list")
         shared = _extras(rec, ("pub_id", "authors"), f"{where} ({pub_id})")
+        record_attrs = MappingProxyType(shared) if shared else NO_ATTRS
+        on_edge = frozenset((pub_id,))
         edge_refs = []
         for slot, entry in enumerate(authors):
-            r = _author_entry(entry, pub_id, slot)
+            r = _author_entry(entry, pub_id, slot, record_attrs, on_edge)
             if not r.name.strip():
                 raise IngestError(f"{where} ({pub_id}): empty author name")
             if r.id in refs:
                 raise IngestError(f"{where} ({pub_id}): duplicate ref id {r.id}")
-            for k, v in shared.items():
-                r.extra_attrs.setdefault(k, v)
-            r.hyperedges.add(pub_id)
             refs[r.id] = r
             edge_refs.append(r.id)
-        edges.append(
-            HyperEdge(id=pub_id, refs=tuple(edge_refs), extra_attrs=shared)
-        )
+        edges.append(HyperEdge(id=pub_id, refs=tuple(edge_refs),
+                               extra_attrs=record_attrs))
     return Dataset(refs.values(), edges, name_mode=name_mode)
 
 
@@ -309,13 +333,14 @@ def save_snapshot(ds: Dataset, path):
             {
                 "id": r.id,
                 "name": r.name,
-                "extra_attrs": r.extra_attrs,
+                "extra_attrs": dict(r.extra_attrs),
                 "hyperedges": sorted(r.hyperedges),
             }
             for r in ds.references.values()
         ],
         "hyperedges": [
-            {"id": h.id, "refs": list(h.refs), "extra_attrs": h.extra_attrs}
+            {"id": h.id, "refs": list(h.refs),
+             "extra_attrs": dict(h.extra_attrs)}
             for h in ds.hyperedges.values()
         ],
     }
@@ -359,14 +384,26 @@ def load_snapshot(path) -> Dataset:
     name_mode = _field(payload, "name_mode", str, "payload", "text")
     if name_mode not in NAME_MODES:
         raise IngestError(f"snapshot payload: unknown name_mode {name_mode!r}")
+    # equal hyper-edge sets and equal attribute mappings share one read-only
+    # object, as after ingest
+    sets: dict[frozenset[str], frozenset[str]] = {}
+    maps: dict[tuple, Mapping[str, str]] = {(): NO_ATTRS}
+
+    def edge_set(ids):
+        fs = frozenset(ids)
+        return sets.setdefault(fs, fs)
+
+    def attrs(values):
+        return maps.setdefault(tuple(values.items()), MappingProxyType(values))
+
     refs = [
         Reference(
             id=_field(r, "id", str, f"reference {i}"),
             name=_field(r, "name", str, f"reference {i}"),
-            extra_attrs=dict(_strings(r, "extra_attrs", dict,
-                                      f"reference {i}", {})),
-            hyperedges=set(_strings(r, "hyperedges", list,
-                                    f"reference {i}", [])),
+            extra_attrs=attrs(_strings(r, "extra_attrs", dict,
+                                       f"reference {i}", {})),
+            hyperedges=edge_set(_strings(r, "hyperedges", list,
+                                         f"reference {i}", [])),
         )
         for i, r in enumerate(_field(payload, "references", list, "payload"))
     ]
@@ -374,8 +411,8 @@ def load_snapshot(path) -> Dataset:
         HyperEdge(
             id=_field(h, "id", str, f"hyper-edge {i}"),
             refs=tuple(_strings(h, "refs", list, f"hyper-edge {i}")),
-            extra_attrs=dict(_strings(h, "extra_attrs", dict,
-                                      f"hyper-edge {i}", {})),
+            extra_attrs=attrs(_strings(h, "extra_attrs", dict,
+                                       f"hyper-edge {i}", {})),
         )
         for i, h in enumerate(_field(payload, "hyperedges", list, "payload"))
     ]

@@ -59,7 +59,7 @@ def x_a(ds: Dataset, value: str, delta: float = 0.0) -> set[str]:
         finite_number(value)
     out = set(ds.name_index.get(value, ()))
     for name in delta_neighbours(value, ds.name_buckets, numeric, delta):
-        out |= ds.name_index[name]
+        out.update(ds.name_index[name])
     return out
 
 
@@ -72,7 +72,7 @@ def x_a_exact(ds: Dataset, refs) -> set[str]:
     """All references sharing an exact normalized name with the input set."""
     out: set[str] = set()
     for rid in refs:
-        out |= ds.name_index[ds.references[rid].norm_name]
+        out.update(ds.name_index[ds.references[rid].norm_name])
     return out
 
 

@@ -157,15 +157,12 @@ def numeric_sim(x1: float, x2: float) -> float:
     return 1.0 - min(1.0, abs(x1 - x2) / NUMERIC_RANGE)
 
 
-def name_sim(n1: str, n2: str, stats: CorpusStats | None = None,
+def name_sim(n1: str, n2: str, stats: CorpusStats | None,
              numeric: bool = False) -> float:
-    """Similarity of two normalized names."""
+    """Similarity of two normalized names; ``stats`` is None only for
+    numeric ones."""
     if numeric:
         return numeric_sim(float(n1), float(n2))
-    if n1 == n2:
-        return 1.0
-    if stats is None:
-        raise ValueError("corpus stats required for text name similarity")
     return soft_tfidf(name_tokens(n1), name_tokens(n2), stats)
 
 

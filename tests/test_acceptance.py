@@ -330,3 +330,20 @@ def test_criterion_10_near_linear_scaling():
               f"{[f'{t:.2f}s' for t in times]}, fitted slope {slope:.3f} "
               f"(≤1.3), total {elapsed:.0f}s")
     assert _report(10, "near-linear clustering runtime", ok, detail)
+
+
+def test_criterion_10_pushes_per_merge_stay_flat():
+    # the counted side of criterion 10, free of timing noise: on the same
+    # corpora the merge loop's heap pushes per merge stay within a fixed
+    # factor (16.4 at 913 references and 17.1 at 7,434 when written)
+    cfg = SimilarityConfig(alpha=0.5, epsilon=0.8, delta=0.7,
+                           merge_threshold=0.3)
+    ratios = []
+    for target in (1000, 2000, 4000, 8000):
+        ds = synthgen.generate(synthgen.GenParams(
+            n_entities=target // 10, n_relationships=target // 5,
+            n_hyperedges=target // 2, p_a=0.3, p_c=0.5, seed=11)).dataset
+        result = rcer.run_rcer(ds, sorted(ds.references), cfg)
+        ratios.append(result.heap_pushes / len(result.merge_log))
+    print(f"pushes per merge {[f'{r:.1f}' for r in ratios]}")
+    assert max(ratios) <= 1.5 * min(ratios), ratios

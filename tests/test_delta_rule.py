@@ -57,7 +57,7 @@ def test_x_a_equals_brute_force_scan(ds, delta):
         want = set(ds.name_index[value])
         for name, ids in ds.name_index.items():
             if delta_similar_names(value, name, numeric, delta):
-                want |= ids
+                want.update(ids)
         assert x_a(ds, value, delta) == want, value
 
 
