@@ -12,9 +12,6 @@ from . import analysis, corpus, evalkit, expansion, rcer, similarity, synthgen
 DEFAULT_CFG = similarity.SimilarityConfig(
     alpha=0.5, epsilon=0.9, delta=0.9, merge_threshold=0.5)
 SWEEP = [i / 20 for i in range(21)]
-# each --baseline name and the evalkit resolver kind it selects
-BASELINES = {"A": "A", "A*": "A_star", "NR": "NR", "NR*": "NR_star",
-             "RC-ER": "RCER"}
 
 
 def _load_cfg(args) -> similarity.SimilarityConfig:
@@ -123,8 +120,7 @@ def cmd_eval(args) -> int:
     ds = _load_dataset(args)
     cfg = _load_cfg(args)
     gold = corpus.load_gold(args.gold)
-    kind = BASELINES[args.baseline]
-    refs = set(ds.references)
+    kind, refs = args.baseline, set(ds.references)
     if args.sweep:
         sweep = evalkit.threshold_sweep(kind, ds, refs, cfg, SWEEP, gold)
         threshold, m = evalkit.best_f1_over_thresholds(sweep.get, SWEEP)
@@ -132,7 +128,7 @@ def cmd_eval(args) -> int:
         threshold = args.threshold if args.threshold is not None \
             else cfg.merge_threshold
         m = evalkit.evaluate_baseline(kind, ds, refs, cfg, threshold, gold)
-    print(f"baseline={args.baseline}\tthreshold={threshold:.3f}\t"
+    print(f"baseline={kind}\tthreshold={threshold:.3f}\t"
           f"precision={m.precision:.4f}\trecall={m.recall:.4f}\t"
           f"f1={m.f1:.4f}")
     return 0
@@ -197,7 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
     pe = sub.add_parser("eval", parents=[data],
                         help="score a resolver against gold labels")
     pe.add_argument("--gold", required=True)
-    pe.add_argument("--baseline", default="RC-ER", choices=BASELINES)
+    pe.add_argument("--baseline", default="RC-ER",
+                    choices=evalkit.BASELINE_KINDS)
     pe.add_argument("--threshold", type=float)
     pe.add_argument("--sweep", action="store_true")
     pe.set_defaults(fn=cmd_eval)

@@ -107,7 +107,7 @@ class Reference:
     id: str
     name: str
     extra_attrs: Mapping[str, str] = field(default_factory=lambda: NO_ATTRS)
-    hyperedges: frozenset[str] = frozenset()
+    hyperedges: tuple[str, ...] = ()
     norm_name: str = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -138,7 +138,7 @@ class Dataset:
 
     ``name_mode`` is one of ``NAME_MODES``.  ``name_index`` maps each
     normalized name to the tuple of its reference ids, in reference order.
-    Each reference's ``hyperedges`` is a ``frozenset`` and its
+    Each reference's ``hyperedges`` is a tuple of distinct ids and its
     ``extra_attrs`` a read-only mapping; ``ingest`` gives all authors of one
     record one ``hyperedges`` object, and the record's own mapping to every
     author without attributes of its own (``NO_ATTRS`` where there are
@@ -238,7 +238,7 @@ def _extras(fields: dict, skip: tuple, where: str) -> dict[str, str]:
 
 
 def _author_entry(entry, pub_id: str, slot: int,
-                  record_attrs: Mapping[str, str], edges: frozenset[str]):
+                  record_attrs: Mapping[str, str], edges: tuple[str, ...]):
     """Accept either a bare name string or {"id":..., "name":..., ...}.
     An author without attributes of its own shares ``record_attrs``; one
     with its own gets a mapping of them followed by the record's ones it
@@ -291,7 +291,7 @@ def ingest(records, name_mode: str = "text") -> Dataset:
             raise IngestError(f"{where} ({pub_id}): authors is not a list")
         shared = _extras(rec, ("pub_id", "authors"), f"{where} ({pub_id})")
         record_attrs = MappingProxyType(shared) if shared else NO_ATTRS
-        on_edge = frozenset((pub_id,))
+        on_edge = (pub_id,)
         edge_refs = []
         for slot, entry in enumerate(authors):
             r = _author_entry(entry, pub_id, slot, record_attrs, on_edge)
@@ -384,29 +384,30 @@ def load_snapshot(path) -> Dataset:
     name_mode = _field(payload, "name_mode", str, "payload", "text")
     if name_mode not in NAME_MODES:
         raise IngestError(f"snapshot payload: unknown name_mode {name_mode!r}")
-    # equal hyper-edge sets and equal attribute mappings share one read-only
-    # object, as after ingest
-    sets: dict[frozenset[str], frozenset[str]] = {}
+    # equal hyper-edge lists and equal attribute mappings share one
+    # read-only object, as after ingest
+    lists: dict[tuple[str, ...], tuple[str, ...]] = {}
     maps: dict[tuple, Mapping[str, str]] = {(): NO_ATTRS}
-
-    def edge_set(ids):
-        fs = frozenset(ids)
-        return sets.setdefault(fs, fs)
 
     def attrs(values):
         return maps.setdefault(tuple(values.items()), MappingProxyType(values))
 
-    refs = [
-        Reference(
-            id=_field(r, "id", str, f"reference {i}"),
-            name=_field(r, "name", str, f"reference {i}"),
-            extra_attrs=attrs(_strings(r, "extra_attrs", dict,
-                                       f"reference {i}", {})),
-            hyperedges=edge_set(_strings(r, "hyperedges", list,
-                                         f"reference {i}", [])),
+    def reference(r, where):
+        rid = _field(r, "id", str, where)
+        ids = tuple(_strings(r, "hyperedges", list, where, []))
+        if len(set(ids)) != len(ids):
+            twice = next(h for h in ids if ids.count(h) > 1)
+            raise IngestError(f"snapshot reference {rid}: hyper-edge "
+                              f"{twice} listed twice")
+        return Reference(
+            id=rid,
+            name=_field(r, "name", str, where),
+            extra_attrs=attrs(_strings(r, "extra_attrs", dict, where, {})),
+            hyperedges=lists.setdefault(ids, ids),
         )
-        for i, r in enumerate(_field(payload, "references", list, "payload"))
-    ]
+
+    refs = [reference(r, f"reference {i}") for i, r in
+            enumerate(_field(payload, "references", list, "payload"))]
     edges = [
         HyperEdge(
             id=_field(h, "id", str, f"hyper-edge {i}"),

@@ -26,7 +26,7 @@ from .rcer import (RcerResult, block_candidates,  # noqa: F401
 from .similarity import SimilarityConfig, SimilarityContext, greedy_matching
 from . import synthgen
 
-BASELINE_KINDS = ("A", "A_star", "NR", "NR_star", "RCER")
+BASELINE_KINDS = ("A", "A*", "NR", "NR*", "RC-ER")
 
 
 @dataclass
@@ -207,13 +207,13 @@ def threshold_sweep(kind: str, ds: Dataset, refs, cfg: SimilarityConfig,
     if kind not in BASELINE_KINDS:
         raise ValueError(f"unknown baseline kind: {kind}")
     scope = set(refs)
-    if kind == "RCER":
+    if kind == "RC-ER":
         return rcer_threshold_sweep(ds, scope, cfg, thresholds, gold)
     ts = _check_sweep(thresholds, gold, scope)
     scores = baseline_scores(kind, ds, scope, SimilarityContext(ds, cfg))
     ranked = sorted(((s, *pair) for pair, s in scores.items()),
                     key=lambda x: x[0], reverse=True)
-    if kind.endswith("_star"):
+    if kind.endswith("*"):
         groups = {rid: (1, Counter([gold.entity_of(rid)])) for rid in scope}
         steps = _merge_steps(groups, _closure_merges(ranked, scope))
     else:

@@ -106,7 +106,7 @@ class ClusterState:
             es: set[str] = set()
             for rid in group:
                 self.labels[rid] = cid
-                es |= ds.references[rid].hyperedges
+                es.update(ds.references[rid].hyperedges)
             self.edges[cid] = es
             self.reps[cid] = ctx.representatives(self.members[cid])
         for cid in self.members:

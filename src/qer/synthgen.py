@@ -16,7 +16,9 @@ Gaussian around its entity's x.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .corpus import Dataset, GoldLabeling, ingest
 
@@ -87,6 +89,7 @@ class SyntheticOutput:
 
 def create_entities(params: GenParams, rng: random.Random) -> SyntheticWorld:
     entities: list[Entity] = []
+    placed: list[float] = []  # every entity's x, sorted
     used_slots: set[int] = set()
     slot_pool = max(4 * params.n_entities, 16)
     for i in range(params.n_entities):
@@ -94,84 +97,105 @@ def create_entities(params: GenParams, rng: random.Random) -> SyntheticWorld:
             host = rng.choice(entities)
             x = rng.uniform(host.lo, host.hi)
             entities.append(Entity(id=f"e{i}", x=x, ambiguous=True))
+            insort(placed, x)
             continue
         # fresh value: random grid slot whose occupied range is clear of
         # every existing range (ambiguous entities can spill past their
-        # host's grid cell, so check explicitly)
+        # host's grid cell, so check explicitly); the nearest x on either
+        # side is the closest, as float subtraction is monotone
         while True:
             slot = rng.randrange(slot_pool)
             if slot in used_slots:
                 continue
             x = slot * FRESH_GRID_SPACING
-            if all(abs(x - e.x) > 2 * OCCUPIED_HALF_WIDTH for e in entities):
+            k = bisect_left(placed, x)
+            if all(abs(x - near) > 2 * OCCUPIED_HALF_WIDTH
+                   for near in placed[max(k - 1, 0):k + 1]):
                 used_slots.add(slot)
                 break
         entities.append(Entity(id=f"e{i}", x=x, ambiguous=False))
+        insort(placed, x)
     return SyntheticWorld(entities=entities)
 
 
 Lookalikes = tuple[list[Entity], set[str]]
 
 
-def _intersecting_others(world: SyntheticWorld, e: Entity,
-                         cache: dict[str, Lookalikes]) -> Lookalikes:
-    """Look-alikes of ``e`` and their ids, memoized in ``cache`` (entities
-    never move)."""
-    if e.id not in cache:
-        others = [o for o in world.entities
-                  if o.id != e.id and world.ranges_intersect(o, e)]
-        cache[e.id] = others, {o.id for o in others}
-    return cache[e.id]
+def _lookalike_index(world: SyntheticWorld):
+    """``lookalikes(e)``: the other entities whose ranges intersect ``e``'s,
+    in entity order, and their ids, memoized (entities never move).  Only
+    the entities in an x window around ``e`` are tested; the window is a
+    little wider than the rule's reach, so float rounding at its edge
+    cannot drop one, and narrower than a fresh grid step."""
+    reach = 2 * OCCUPIED_HALF_WIDTH + 0.5
+    by_x = sorted(range(len(world.entities)),
+                  key=lambda i: world.entities[i].x)
+    xs = [world.entities[i].x for i in by_x]
+    cache: dict[str, Lookalikes] = {}
+
+    def lookalikes(e: Entity) -> Lookalikes:
+        if e.id not in cache:
+            window = sorted(by_x[bisect_left(xs, e.x - reach):
+                                 bisect_right(xs, e.x + reach)])
+            others = [o for o in map(world.entities.__getitem__, window)
+                      if o is not e and world.ranges_intersect(o, e)]
+            cache[e.id] = others, {o.id for o in others}
+        return cache[e.id]
+
+    return lookalikes
 
 
 def add_relationships(world: SyntheticWorld, params: GenParams,
                       rng: random.Random) -> SyntheticWorld:
     if params.n_relationships and len(world.entities) < 2:
         raise ValueError("need at least 2 entities for relationships")
-    intersect_cache: dict[str, Lookalikes] = {}
+    lookalikes = _lookalike_index(world)
+
+    # One block per relationship (ek, el), direction and look-alike ei of
+    # ek where el has look-alikes, in order: (ei, look-alikes of el, their
+    # ids), and the number of fresh pairs (ei, ej) it holds, ej a
+    # look-alike of el that is neither ei nor a neighbor of ei.  add_edge
+    # keeps the counts current; by_ei finds the blocks of an entity.
+    blocks: list[tuple[Entity, list[Entity], set[str]]] = []
+    counts: list[int] = []
+    by_ei: dict[str, list[int]] = {}
+    scanned = 0  # relationships already entered in blocks
 
     def add_edge(e1: Entity, e2: Entity):
         e1.nbrs.add(e2.id)
         e2.nbrs.add(e1.id)
         world.relationships.append((e1.id, e2.id))
-
-    # (look-alikes of ek, of el, ids of the latter) for each relationship
-    # (ek, el) and each direction, in order, where both ends have look-alikes
-    lookalike_ends: list[tuple] = []
-    scanned = 0  # relationships already entered in lookalike_ends
+        for a, b in ((e1, e2), (e2, e1)):
+            for k in by_ei.get(a.id, ()):
+                if b.id in blocks[k][2]:
+                    counts[k] -= 1
 
     def try_ambiguous() -> bool:
         # draw a fresh pair (ei, ej) with ei a look-alike of ek and ej a
         # look-alike of el for an existing relationship (ek, el), uniformly
-        # over the list of all such pairs; the pairs are only counted, per
-        # (relationship, direction, ei) block, and only the drawn block is
-        # listed
+        # over the list of all such pairs; only the drawn block is listed
         nonlocal scanned
         for pair in world.relationships[scanned:]:
             ek = world.entity(pair[0])
             el = world.entity(pair[1])
             for a, b in ((ek, el), (el, ek)):
-                cand_i, _ = _intersecting_others(world, a, intersect_cache)
-                cand_j, ids_j = _intersecting_others(world, b,
-                                                     intersect_cache)
-                if cand_i and cand_j:
-                    lookalike_ends.append((cand_i, cand_j, ids_j))
+                cand_i, _ = lookalikes(a)
+                cand_j, ids_j = lookalikes(b)
+                if not cand_j:
+                    continue
+                for ei in cand_i:
+                    by_ei.setdefault(ei.id, []).append(len(blocks))
+                    blocks.append((ei, cand_j, ids_j))
+                    counts.append(len(cand_j) - (ei.id in ids_j)
+                                  - len(ei.nbrs & ids_j))
         scanned = len(world.relationships)
-        blocks = []
-        total = 0
-        for cand_i, cand_j, ids_j in lookalike_ends:
-            for ei in cand_i:
-                n = len(cand_j) - (ei.id in ids_j) - len(ei.nbrs & ids_j)
-                if n:
-                    blocks.append((n, ei, cand_j))
-                    total += n
-        if not total:
+        cum = list(accumulate(counts))
+        if not cum or not cum[-1]:
             return False
-        k = rng.choice(range(total))  # the same draw as from a list
-        for n, ei, cand_j in blocks:
-            if k < n:
-                break
-            k -= n
+        k = rng.choice(range(cum[-1]))  # the same draw as from a list
+        b = bisect_right(cum, k)  # a block without pairs is never drawn
+        k -= cum[b] - counts[b]
+        ei, cand_j, _ = blocks[b]
         ej = [ej for ej in cand_j
               if ej.id != ei.id and ej.id not in ei.nbrs][k]
         add_edge(ei, ej)

@@ -271,7 +271,7 @@ def test_eval_rcer_sweep_clusters_once(synth_files, monkeypatch, capsys):
     ds = corpus.ingest_file(records, name_mode="numeric")
     t, m = evalkit.best_f1_over_thresholds(
         lambda t: evalkit.evaluate_baseline(
-            "RCER", ds, set(ds.references), DEFAULT_CFG, t,
+            "RC-ER", ds, set(ds.references), DEFAULT_CFG, t,
             corpus.load_gold(gold)), SWEEP)
     assert (fields["threshold"], fields["f1"]) == (f"{t:.3f}", f"{m.f1:.4f}")
 
@@ -291,9 +291,8 @@ def test_eval_baseline_sweep_scores_once(synth_files, baseline, monkeypatch,
                   for kv in capsys.readouterr().out.strip().split("\t"))
     # the same pick as blocking and scoring afresh at every threshold
     ds = corpus.ingest_file(records, name_mode="numeric")
-    kind = baseline.replace("*", "_star")
     t, m = evalkit.best_f1_over_thresholds(
         lambda t: evalkit.evaluate_baseline(
-            kind, ds, set(ds.references), DEFAULT_CFG, t,
+            baseline, ds, set(ds.references), DEFAULT_CFG, t,
             corpus.load_gold(gold)), SWEEP)
     assert (fields["threshold"], fields["f1"]) == (f"{t:.3f}", f"{m.f1:.4f}")

@@ -188,7 +188,7 @@ def test_transitive_closure_monotone(corpus_ds, corpus_gold, ctx):
     for t in (0.0, 0.5, 0.9, 0.98):
         raw = evaluate_baseline("A", corpus_ds, refs, ctx.cfg, t,
                                 corpus_gold)
-        closed = evaluate_baseline("A_star", corpus_ds, refs, ctx.cfg, t,
+        closed = evaluate_baseline("A*", corpus_ds, refs, ctx.cfg, t,
                                    corpus_gold)
         assert closed.recall >= raw.recall - 1e-12
 
@@ -206,9 +206,9 @@ def test_transitive_closure_groups():
     thresholds = [0.5, 0.0, 0.75, 0.5]
     counts = {kind: {t: (m.tp, m.fp, m.fn) for t, m in threshold_sweep(
         kind, ds, set(ds.references), cfg, thresholds, gold).items()}
-        for kind in ("A", "A_star")}
-    assert counts["A_star"] == {0.75: (0, 0, 1), 0.5: (1, 2, 0),
-                                0.0: (1, 2, 0)}
+        for kind in ("A", "A*")}
+    assert counts["A*"] == {0.75: (0, 0, 1), 0.5: (1, 2, 0),
+                            0.0: (1, 2, 0)}
     assert counts["A"] == {0.75: (0, 0, 1), 0.5: (1, 1, 0), 0.0: (1, 2, 0)}
 
 
@@ -234,7 +234,7 @@ def test_single_threshold(corpus_ds, corpus_gold, ctx):
 
 def test_rcer_baseline_wrapper(corpus_ds, corpus_gold, text_cfg):
     refs = set(corpus_ds.references)
-    m = evaluate_baseline("RCER", corpus_ds, refs, text_cfg, 0.99, corpus_gold)
+    m = evaluate_baseline("RC-ER", corpus_ds, refs, text_cfg, 0.99, corpus_gold)
     assert m.recall == 0.0  # nothing merges above the maximum similarity
     with pytest.raises(ValueError):
         evaluate_baseline("bogus", corpus_ds, refs, text_cfg, 0.5, corpus_gold)
@@ -277,10 +277,11 @@ def test_baseline_sweeps_pinned():
     out = synthgen.generate(synthgen.GenParams(seed=3))
     refs = set(out.dataset.references)
     rows = []
-    for kind in ("A", "A_star", "NR", "NR_star"):
+    for kind, label in (("A", "A"), ("A*", "A_star"), ("NR", "NR"),
+                        ("NR*", "NR_star")):
         sweep = threshold_sweep(kind, out.dataset, refs, DEFAULT_CFG, SWEEP,
                                 out.gold)
-        rows += [[kind, t, sweep[t].tp, sweep[t].fp, sweep[t].fn]
+        rows += [[label, t, sweep[t].tp, sweep[t].fp, sweep[t].fn]
                  for t in SWEEP]
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == (
         "cc4ef2aebaab91b4a40279b6ad13b0e1322c0807d226c0e1797af01a51b3f9d7")
@@ -291,7 +292,7 @@ from qer import evalkit, synthgen
 from qer.similarity import SimilarityConfig
 out = synthgen.generate(synthgen.GenParams(seed=3))
 cfg = SimilarityConfig(alpha=0.5, epsilon=0.9, delta=0.9, merge_threshold=0.3)
-m = evalkit.evaluate_baseline("RCER", out.dataset, set(out.dataset.references),
+m = evalkit.evaluate_baseline("RC-ER", out.dataset, set(out.dataset.references),
                               cfg, 0.3, out.gold)
 print(m.tp, m.fp, m.fn)
 """
@@ -396,7 +397,7 @@ def test_sweeps_reject_bad_thresholds(corpus_ds, corpus_gold, text_cfg,
     named = repr(thresholds[-1]) if thresholds else "no thresholds"
     sweeps = [lambda k=k: threshold_sweep(k, corpus_ds, refs, text_cfg,
                                           thresholds, corpus_gold)
-              for k in ("A", "A_star", "NR", "NR_star", "RCER")]
+              for k in ("A", "A*", "NR", "NR*", "RC-ER")]
     sweeps += [
         lambda: rcer_threshold_sweep(corpus_ds, refs, text_cfg, thresholds,
                                      corpus_gold),
@@ -419,7 +420,7 @@ def test_sweeps_check_gold_before_clustering(corpus_ds, text_cfg,
     refs = set(corpus_ds.references)
     partial = GoldLabeling({r: e for r, e in GOLD_ASSIGNMENTS.items()
                             if r != "r9"})
-    for kind in ("A", "A_star", "NR", "NR_star", "RCER"):
+    for kind in ("A", "A*", "NR", "NR*", "RC-ER"):
         with pytest.raises(ValueError, match="gold labeling does not cover"):
             threshold_sweep(kind, corpus_ds, refs, text_cfg, [0.5], partial)
     with pytest.raises(ValueError, match="gold labeling does not cover"):

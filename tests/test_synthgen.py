@@ -18,6 +18,13 @@ from qer.synthgen import (
 )
 
 
+def _digest(out) -> str:
+    w = out.world
+    blob = json.dumps([out.records, w.relationships,
+                       w.ambiguous_relationships, w.relationship_fallbacks])
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         GenParams(n_entities=-1)
@@ -159,7 +166,52 @@ def test_output_pinned(p_r_a, digest):
     out = generate(GenParams(n_entities=400, n_relationships=800,
                              n_hyperedges=2000, p_a=0.1, p_r_a=p_r_a,
                              p_c=0.5, p_r=1.0, seed=1000))
-    w = out.world
-    blob = json.dumps([out.records, w.relationships,
-                       w.ambiguous_relationships, w.relationship_fallbacks])
+    assert _digest(out) == digest
+
+
+@pytest.mark.parametrize("params, digest", [
+    # criterion 5's shape at its largest p_r_a
+    (GenParams(n_entities=100, n_relationships=200, n_hyperedges=500,
+               p_a=0.5, p_r_a=0.6, p_c=0.5, p_r=1.0, seed=5),
+     "553779076015772c61bddb036905e4e7f41c873ebcc8066449940070c972441a"),
+    # undirected extension draws (p_r < 1)
+    (GenParams(n_entities=100, n_relationships=200, n_hyperedges=500,
+               p_a=0.5, p_r_a=0.3, p_c=0.5, p_r=0.5, seed=4),
+     "35b0d310598ae30abc671cfdb5fe16dddc882d1bd438e7804fbeb41409ccec95"),
+    (GenParams(n_entities=800, n_relationships=1600, n_hyperedges=4000,
+               p_a=0.3, p_r_a=0.3, p_c=0.5, p_r=1.0, seed=8),
+     "50e96dc3f1b4a08ca4cb58fa5a091bc6ebb021494ac24d00f2e7092c62780faf"),
+], ids=["criterion-5", "p_r-half", "800-entities"])
+def test_more_shapes_pinned(params, digest):
+    assert _digest(generate(params)) == digest
+
+
+@pytest.mark.parametrize("p_a, digest", [
+    (0.0, "f02a53a89d2b56ad74a90d3903c59be350b0675764ad5b335d8781b8fed20b64"),
+    (0.5, "1e3f0d66f0305e377cee728d9f78c93e0fd742ee61f92945202d4ad8b9093fbd"),
+])
+def test_entities_pinned(p_a, digest):
+    """The fresh-slot draws of 1,000 entities are fixed value for value."""
+    world = create_entities(GenParams(n_entities=1000, p_a=p_a, seed=10),
+                            random.Random(10))
+    blob = json.dumps([[e.id, e.x, e.ambiguous] for e in world.entities])
     assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("n", [200, 400, 800])
+def test_lookalike_tests_per_entity_stay_flat(n, monkeypatch):
+    """The look-alike search tests a handful of pairs per entity, not every
+    other entity, whatever the size of the world."""
+    calls = [0]
+    test = SyntheticWorld.ranges_intersect
+
+    def counted(self, e1, e2):
+        calls[0] += 1
+        return test(self, e1, e2)
+
+    monkeypatch.setattr(SyntheticWorld, "ranges_intersect", counted)
+    out = generate(GenParams(n_entities=n, n_relationships=2 * n,
+                             n_hyperedges=1, p_a=0.3, p_r_a=0.3, p_c=0.5,
+                             seed=n))
+    assert out.world.ambiguous_relationships
+    assert calls[0] <= 5 * n, calls[0] / n
