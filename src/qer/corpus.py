@@ -95,12 +95,24 @@ def finite_number(text: str) -> float:
 NO_ATTRS: Mapping[str, str] = MappingProxyType({})
 
 
+def _norm_name(name: str, norms: dict[str, str]) -> str:
+    """The ``norm_name`` of a reference named ``name``: ``name`` itself if it
+    is normalized, else its interned normal form.  ``norms`` maps each raw
+    name seen to that form, so equal names are normalized once."""
+    norm = norms.get(name)
+    if norm is None:
+        norm = normalize_name(name)
+        norm = norms[name] = name if norm == name else sys.intern(norm)
+    return name if norm == name else norm
+
+
 @dataclass(eq=False, slots=True)  # identity comparison: each mention is unique
 class Reference:
     """One name mention.  ``norm_name`` is ``normalize_name(name)``, computed
-    once, when the reference is built; ``name`` is not reassigned afterwards.
-    An already normalized name (every numeric one) is stored as itself and
-    the others are interned, so equal names share one string.
+    once, when the reference is built (``ingest`` and ``load_snapshot``
+    compute it once per distinct name); ``name`` is not reassigned
+    afterwards.  An already normalized name (every numeric one) is stored as
+    itself and the others are interned, so equal names share one string.
     ``extra_attrs`` and ``hyperedges`` are read-only and may be shared with
     other references."""
 
@@ -111,8 +123,7 @@ class Reference:
     norm_name: str = field(init=False, repr=False)
 
     def __post_init__(self):
-        norm = normalize_name(self.name)
-        self.norm_name = self.name if norm == self.name else sys.intern(norm)
+        self.norm_name = _norm_name(self.name, {})
 
 
 @dataclass(slots=True)
@@ -237,29 +248,51 @@ def _extras(fields: dict, skip: tuple, where: str) -> dict[str, str]:
     return extra
 
 
+def _reference_builder():
+    """``build(id, name, extra_attrs, hyperedges)``: the ``Reference`` its
+    constructor would build, normalizing each distinct raw name once for as
+    long as ``build`` lives (one ingest or snapshot load).  A name that
+    normalizes to nothing is refused with ``IngestError("empty author
+    name")``, for the caller to say where."""
+    norms: dict[str, str] = {}
+
+    def build(rid: str, name: str, extra_attrs, hyperedges) -> Reference:
+        norm = _norm_name(name, norms)
+        if not norm:
+            raise IngestError("empty author name")
+        r = object.__new__(Reference)  # with norm_name, skip __post_init__
+        r.id = rid
+        r.name = name
+        r.extra_attrs = extra_attrs
+        r.hyperedges = hyperedges
+        r.norm_name = norm
+        return r
+
+    return build
+
+
 def _author_entry(entry, pub_id: str, slot: int,
-                  record_attrs: Mapping[str, str], edges: tuple[str, ...]):
-    """Accept either a bare name string or {"id":..., "name":..., ...}.
-    An author without attributes of its own shares ``record_attrs``; one
-    with its own gets a mapping of them followed by the record's ones it
-    lacks."""
+                  record_attrs: Mapping[str, str]):
+    """(id, name, extra attributes) of a bare name string or of
+    {"id":..., "name":..., ...}.  An author without attributes of its own
+    shares ``record_attrs``; one with its own gets a mapping of them
+    followed by the record's ones it lacks."""
     if isinstance(entry, str):
-        return Reference(id=f"{pub_id}:{slot}", name=entry,
-                         extra_attrs=record_attrs, hyperedges=edges)
+        return f"{pub_id}:{slot}", entry, record_attrs
     if isinstance(entry, dict):
         name = entry.get("name")
         if not name:
             raise IngestError(f"record {pub_id}: author {slot} has no name")
-        own = _extras(entry, ("id", "name"), f"record {pub_id}: author {slot}")
-        if own:
-            for k, v in record_attrs.items():
-                own.setdefault(k, v)
-        return Reference(
-            id=str(entry.get("id", f"{pub_id}:{slot}")),
-            name=str(name),
-            extra_attrs=MappingProxyType(own) if own else record_attrs,
-            hyperedges=edges,
-        )
+        attrs = record_attrs
+        if len(entry) > 1 + ("id" in entry):  # a key beside id and name
+            own = _extras(entry, ("id", "name"),
+                          f"record {pub_id}: author {slot}")
+            if own:
+                for k, v in record_attrs.items():
+                    own.setdefault(k, v)
+                attrs = MappingProxyType(own)
+        rid = str(entry["id"]) if "id" in entry else f"{pub_id}:{slot}"
+        return rid, str(name), attrs
     raise IngestError(f"record {pub_id}: malformed author entry {entry!r}")
 
 
@@ -269,56 +302,72 @@ def ingest(records, name_mode: str = "text") -> Dataset:
     Each record is a mapping with ``pub_id`` and a non-empty ordered
     ``authors`` list; optional record-level fields (keywords, affiliation,
     title, ...) become extra attributes of every reference in the record.
+    An author name that normalizes to nothing (" ", ". .") is refused.
     """
     refs: dict[str, Reference] = {}
-    edges: list[HyperEdge] = []
-    seen_pubs: set[str] = set()
+    edges: dict[str, HyperEdge] = {}
+    reference = _reference_builder()
     for i, rec in enumerate(records):
-        where = f"record {i}"
         if not isinstance(rec, dict):
-            raise IngestError(f"{where}: not a mapping")
+            raise IngestError(f"record {i}: not a mapping")
         pub_id = rec.get("pub_id")
         if pub_id is None:
-            raise IngestError(f"{where}: missing pub_id")
+            raise IngestError(f"record {i}: missing pub_id")
         pub_id = str(pub_id)
-        if pub_id in seen_pubs:
-            raise IngestError(f"{where}: duplicate pub_id {pub_id!r}")
-        seen_pubs.add(pub_id)
+        if pub_id in edges:
+            raise IngestError(f"record {i}: duplicate pub_id {pub_id!r}")
         authors = rec.get("authors")
         if not authors:
-            raise IngestError(f"{where} ({pub_id}): no authors")
+            raise IngestError(f"record {i} ({pub_id}): no authors")
         if not isinstance(authors, list):
-            raise IngestError(f"{where} ({pub_id}): authors is not a list")
-        shared = _extras(rec, ("pub_id", "authors"), f"{where} ({pub_id})")
-        record_attrs = MappingProxyType(shared) if shared else NO_ATTRS
+            raise IngestError(f"record {i} ({pub_id}): authors is not a list")
+        record_attrs = NO_ATTRS
+        if len(rec) > 2:  # a key beside pub_id and authors
+            shared = _extras(rec, ("pub_id", "authors"),
+                             f"record {i} ({pub_id})")
+            if shared:
+                record_attrs = MappingProxyType(shared)
         on_edge = (pub_id,)
         edge_refs = []
         for slot, entry in enumerate(authors):
-            r = _author_entry(entry, pub_id, slot, record_attrs, on_edge)
-            if not r.name.strip():
-                raise IngestError(f"{where} ({pub_id}): empty author name")
-            if r.id in refs:
-                raise IngestError(f"{where} ({pub_id}): duplicate ref id {r.id}")
-            refs[r.id] = r
-            edge_refs.append(r.id)
-        edges.append(HyperEdge(id=pub_id, refs=tuple(edge_refs),
-                               extra_attrs=record_attrs))
-    return Dataset(refs.values(), edges, name_mode=name_mode)
+            rid, name, attrs = _author_entry(entry, pub_id, slot, record_attrs)
+            try:
+                r = reference(rid, name, attrs, on_edge)
+            except IngestError as e:
+                raise IngestError(f"record {i} ({pub_id}): {e}") from None
+            if rid in refs:
+                raise IngestError(f"record {i} ({pub_id}): duplicate ref id "
+                                  f"{rid}")
+            refs[rid] = r
+            edge_refs.append(rid)
+        edges[pub_id] = HyperEdge(pub_id, tuple(edge_refs), record_attrs)
+    return Dataset(refs.values(), edges.values(), name_mode=name_mode)
 
 
 def ingest_file(path, name_mode: str = "text") -> Dataset:
-    """Ingest a newline-delimited JSON record file."""
+    """Ingest a newline-delimited JSON record file.  Blank lines are
+    skipped, but counted in the line number an error names."""
 
     def gen():
+        decode = json.JSONDecoder().raw_decode
         with open(path) as f:
             for lineno, line in enumerate(f, 1):
                 line = line.strip()
                 if not line:
                     continue
                 try:
-                    yield json.loads(line)
-                except json.JSONDecodeError as e:
-                    raise IngestError(f"line {lineno}: invalid record: {e}")
+                    rec, end = decode(line)
+                except json.JSONDecodeError:
+                    end = None
+                if end != len(line):
+                    # not one whole value: json.loads names the fault
+                    # (bad JSON, trailing data, a byte-order mark)
+                    try:
+                        rec = json.loads(line)
+                    except json.JSONDecodeError as e:
+                        raise IngestError(
+                            f"line {lineno}: invalid record: {e}") from None
+                yield rec
 
     return ingest(gen(), name_mode=name_mode)
 
@@ -388,6 +437,7 @@ def load_snapshot(path) -> Dataset:
     # read-only object, as after ingest
     lists: dict[tuple[str, ...], tuple[str, ...]] = {}
     maps: dict[tuple, Mapping[str, str]] = {(): NO_ATTRS}
+    build = _reference_builder()
 
     def attrs(values):
         return maps.setdefault(tuple(values.items()), MappingProxyType(values))
@@ -399,12 +449,12 @@ def load_snapshot(path) -> Dataset:
             twice = next(h for h in ids if ids.count(h) > 1)
             raise IngestError(f"snapshot reference {rid}: hyper-edge "
                               f"{twice} listed twice")
-        return Reference(
-            id=rid,
-            name=_field(r, "name", str, where),
-            extra_attrs=attrs(_strings(r, "extra_attrs", dict, where, {})),
-            hyperedges=lists.setdefault(ids, ids),
-        )
+        name = _field(r, "name", str, where)
+        extra = attrs(_strings(r, "extra_attrs", dict, where, {}))
+        try:
+            return build(rid, name, extra, lists.setdefault(ids, ids))
+        except IngestError as e:
+            raise IngestError(f"snapshot reference {rid}: {e}") from None
 
     refs = [reference(r, f"reference {i}") for i, r in
             enumerate(_field(payload, "references", list, "payload"))]

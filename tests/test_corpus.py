@@ -271,10 +271,23 @@ def normalize_calls(monkeypatch):
     return calls
 
 
-def test_names_normalized_once_per_reference(normalize_calls):
-    ds = ingest(_text_records())
-    assert len(ds) >= 1000
-    assert len(normalize_calls) == len(ds)
+def test_names_normalized_once_per_distinct_name(normalize_calls,
+                                                 tmp_path):
+    records = _text_records()
+    raw = [a for rec in records for a in rec["authors"]]
+    distinct = sorted(set(raw))
+    ds = ingest(records)
+    assert len(ds) == len(raw) >= 1000 and len(distinct) < 0.6 * len(raw)
+    assert sorted(normalize_calls) == distinct
+    # the names seen are kept for one ingest or load only
+    normalize_calls.clear()
+    ingest(records)
+    assert sorted(normalize_calls) == distinct
+    path = tmp_path / "snap.txt"
+    save_snapshot(ds, path)
+    normalize_calls.clear()
+    load_snapshot(path)
+    assert sorted(normalize_calls) == distinct
     normalize_calls.clear()
     params = qer.expansion.ExpansionParams(d_star=3, delta=0.9, h_max=4,
                                            a_max=0.2)
@@ -435,6 +448,9 @@ def _ref(rid, *edges):
     ([_ref("a", "p"), _ref("b", "p", "q", "p")],
      [{"id": "p", "refs": ["a", "b"]}, {"id": "q", "refs": ["b"]}],
      "snapshot reference b: hyper-edge p listed twice"),
+    ([_ref("a", "p"), {"id": "b", "name": ". .", "hyperedges": ["p"]}],
+     [{"id": "p", "refs": ["a", "b"]}],
+     "snapshot reference b: empty author name"),
 ])
 def test_inconsistent_snapshot_names_the_edge_or_reference(tmp_path, refs,
                                                            edges, match):
@@ -462,7 +478,53 @@ def test_snapshot_with_a_wrong_header_is_refused(tmp_path):
      r"record 1 \(p\): duplicate ref id x"),
     ({"pub_id": "p", "authors": [{"id": "r1", "name": "W. Wang"}]},
      r"record 1 \(p\): duplicate ref id r1"),
+    # names that normalize to nothing
+    ({"pub_id": "p", "authors": ["A. Aa", "."]},
+     r"record 1 \(p\): empty author name"),
+    ({"pub_id": "p", "authors": [{"id": "x", "name": ". ."}]},
+     r"record 1 \(p\): empty author name"),
 ])
 def test_malformed_record_names_the_record(record, match):
     with pytest.raises(IngestError, match=match):
         ingest([CORPUS_RECORDS[0], record])
+    if "empty author name" in match:
+        with pytest.raises(IngestError, match=match):
+            ingest([CORPUS_RECORDS[0], record], name_mode="numeric")
+
+
+REC_1 = '{"pub_id": "p1", "authors": ["A. Aa"]}'
+REC_2 = '{"pub_id": "p2", "authors": ["B. Bb"]}'
+
+
+@pytest.mark.parametrize("text, match", [
+    # a broken line
+    (REC_1 + "\n" + REC_2[:-2] + "\n",
+     "line 2: invalid record: Expecting ',' delimiter: "
+     "line 1 column 37 (char 36)"),
+    # trailing data after a record, after blanks or none
+    (REC_1 + "\n" + REC_2 + "  x\n",
+     "line 2: invalid record: Extra data: line 1 column 41 (char 40)"),
+    (REC_1 + REC_2 + "\n",
+     "line 1: invalid record: Extra data: line 1 column 39 (char 38)"),
+    (REC_1 + "\f{}\n",
+     "line 1: invalid record: Extra data: line 1 column 39 (char 38)"),
+    # blank lines are skipped but counted
+    ("\n" + REC_1 + "\n   \n\n{bad\n",
+     "line 5: invalid record: Expecting property name enclosed in double "
+     "quotes: line 1 column 2 (char 1)"),
+    ("\ufeff" + REC_1 + "\n",
+     "line 1: invalid record: Unexpected UTF-8 BOM"),
+    # a whole JSON value that is not a record
+    (REC_1 + "\n\n[1]\n", "record 1: not a mapping"),
+])
+def test_malformed_line_names_the_line(tmp_path, text, match):
+    path = tmp_path / "records.jsonl"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(IngestError, match=re.escape(match)):
+        ingest_file(path)
+
+
+def test_blank_lines_are_skipped(tmp_path):
+    path = tmp_path / "records.jsonl"
+    path.write_text("\n  " + REC_1 + " \n\t\n" + REC_2 + "\n\n")
+    assert list(ingest_file(path).hyperedges) == ["p1", "p2"]

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from qer.corpus import ingest
+from qer.corpus import Dataset, HyperEdge, Reference, ingest
 from qer.expansion import x_a
 from qer.rcer import block_candidates
 from qer.similarity import (SimilarityConfig, SimilarityContext,
@@ -20,6 +20,16 @@ def _numeric_ds(names):
     return ingest([{"pub_id": "p", "authors": [
         {"id": f"r{i}", "name": n} for i, n in enumerate(names)]}],
         name_mode="numeric")
+
+
+def _text_dataset(records):
+    """A text dataset of {pub_id: [(reference id, name), ...]}, built by
+    hand: ``ingest`` refuses a name that normalizes to nothing, as "."
+    does."""
+    refs = [Reference(rid, name, hyperedges=(pub,))
+            for pub, authors in records.items() for rid, name in authors]
+    return Dataset(refs, [HyperEdge(pub, tuple(rid for rid, _ in authors))
+                          for pub, authors in records.items()])
 
 
 def _text_ds(seed):
@@ -34,9 +44,9 @@ def _text_ds(seed):
         middle = rng.choice(["", "b. ", "a "])
         return f"{rng.choice('AaB')}. {middle}{last.capitalize()}"
 
-    return ingest([{"pub_id": f"p{i}", "authors": [
-        {"id": f"p{i}:{j}", "name": name()} for j in range(rng.randint(1, 3))]}
-        for i in range(120)])
+    return _text_dataset({f"p{i}": [(f"p{i}:{j}", name())
+                                    for j in range(rng.randint(1, 3))]
+                          for i in range(120)})
 
 
 def _corpora():
@@ -74,8 +84,7 @@ def test_block_candidates_equal_brute_force_scan(ds, delta):
 
 
 def test_empty_names_are_not_candidates():
-    ds = ingest([{"pub_id": "p", "authors": [
-        {"id": "a", "name": "."}, {"id": "b", "name": ".."}]}])
+    ds = _text_dataset({"p": [("a", "."), ("b", "..")]})
     ctx = SimilarityContext(ds, SimilarityConfig(
         alpha=0.5, epsilon=0.9, delta=0.9, merge_threshold=0.5))
     assert block_candidates(ds, ds.references, ctx) == set()
