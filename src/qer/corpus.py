@@ -95,35 +95,20 @@ def finite_number(text: str) -> float:
 NO_ATTRS: Mapping[str, str] = MappingProxyType({})
 
 
-def _norm_name(name: str, norms: dict[str, str]) -> str:
-    """The ``norm_name`` of a reference named ``name``: ``name`` itself if it
-    is normalized, else its interned normal form.  ``norms`` maps each raw
-    name seen to that form, so equal names are normalized once."""
-    norm = norms.get(name)
-    if norm is None:
-        norm = normalize_name(name)
-        norm = norms[name] = name if norm == name else sys.intern(norm)
-    return name if norm == name else norm
-
-
 @dataclass(eq=False, slots=True)  # identity comparison: each mention is unique
 class Reference:
-    """One name mention.  ``norm_name`` is ``normalize_name(name)``, computed
-    once, when the reference is built (``ingest`` and ``load_snapshot``
-    compute it once per distinct name); ``name`` is not reassigned
-    afterwards.  An already normalized name (every numeric one) is stored as
-    itself and the others are interned, so equal names share one string.
-    ``extra_attrs`` and ``hyperedges`` are read-only and may be shared with
-    other references."""
+    """One name mention.  ``norm_name`` is ``normalize_name(name)``, passed
+    in by ``ingest``, which normalizes each distinct raw name once per call;
+    ``name`` is not reassigned afterwards.  An already normalized name
+    (every numeric one) is stored as itself and the others are interned, so
+    equal names share one string.  ``extra_attrs`` and ``hyperedges`` are
+    read-only and may be shared with other references."""
 
     id: str
     name: str
+    norm_name: str = field(repr=False)
     extra_attrs: Mapping[str, str] = field(default_factory=lambda: NO_ATTRS)
     hyperedges: tuple[str, ...] = ()
-    norm_name: str = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.norm_name = _norm_name(self.name, {})
 
 
 @dataclass(slots=True)
@@ -248,29 +233,6 @@ def _extras(fields: dict, skip: tuple, where: str) -> dict[str, str]:
     return extra
 
 
-def _reference_builder():
-    """``build(id, name, extra_attrs, hyperedges)``: the ``Reference`` its
-    constructor would build, normalizing each distinct raw name once for as
-    long as ``build`` lives (one ingest or snapshot load).  A name that
-    normalizes to nothing is refused with ``IngestError("empty author
-    name")``, for the caller to say where."""
-    norms: dict[str, str] = {}
-
-    def build(rid: str, name: str, extra_attrs, hyperedges) -> Reference:
-        norm = _norm_name(name, norms)
-        if not norm:
-            raise IngestError("empty author name")
-        r = object.__new__(Reference)  # with norm_name, skip __post_init__
-        r.id = rid
-        r.name = name
-        r.extra_attrs = extra_attrs
-        r.hyperedges = hyperedges
-        r.norm_name = norm
-        return r
-
-    return build
-
-
 def _author_entry(entry, pub_id: str, slot: int,
                   record_attrs: Mapping[str, str]):
     """(id, name, extra attributes) of a bare name string or of
@@ -306,7 +268,7 @@ def ingest(records, name_mode: str = "text") -> Dataset:
     """
     refs: dict[str, Reference] = {}
     edges: dict[str, HyperEdge] = {}
-    reference = _reference_builder()
+    norms: dict[str, str] = {}  # each raw name seen -> its stored norm_name
     for i, rec in enumerate(records):
         if not isinstance(rec, dict):
             raise IngestError(f"record {i}: not a mapping")
@@ -331,149 +293,89 @@ def ingest(records, name_mode: str = "text") -> Dataset:
         edge_refs = []
         for slot, entry in enumerate(authors):
             rid, name, attrs = _author_entry(entry, pub_id, slot, record_attrs)
-            try:
-                r = reference(rid, name, attrs, on_edge)
-            except IngestError as e:
-                raise IngestError(f"record {i} ({pub_id}): {e}") from None
+            norm = norms.get(name)
+            if norm is None:
+                norm = normalize_name(name)
+                if not norm:
+                    raise IngestError(f"record {i} ({pub_id}): empty author "
+                                      "name")
+                norm = norms[name] = name if norm == name else sys.intern(norm)
             if rid in refs:
                 raise IngestError(f"record {i} ({pub_id}): duplicate ref id "
                                   f"{rid}")
-            refs[rid] = r
+            refs[rid] = Reference(rid, name, name if norm == name else norm,
+                                  attrs, on_edge)
             edge_refs.append(rid)
         edges[pub_id] = HyperEdge(pub_id, tuple(edge_refs), record_attrs)
     return Dataset(refs.values(), edges.values(), name_mode=name_mode)
 
 
+def _records(lines, start: int = 1):
+    """The record on each non-blank line of ``lines``.  A line that is not
+    one JSON value raises ``IngestError`` naming its number, counted from
+    ``start``."""
+    decode = json.JSONDecoder().raw_decode
+    for lineno, line in enumerate(lines, start):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rec, end = decode(line)
+        except json.JSONDecodeError:
+            end = None
+        if end != len(line):
+            # not one whole value: json.loads names the fault
+            # (bad JSON, trailing data, a byte-order mark)
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise IngestError(
+                    f"line {lineno}: invalid record: {e}") from None
+        yield rec
+
+
 def ingest_file(path, name_mode: str = "text") -> Dataset:
     """Ingest a newline-delimited JSON record file.  Blank lines are
     skipped, but counted in the line number an error names."""
-
-    def gen():
-        decode = json.JSONDecoder().raw_decode
-        with open(path) as f:
-            for lineno, line in enumerate(f, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rec, end = decode(line)
-                except json.JSONDecodeError:
-                    end = None
-                if end != len(line):
-                    # not one whole value: json.loads names the fault
-                    # (bad JSON, trailing data, a byte-order mark)
-                    try:
-                        rec = json.loads(line)
-                    except json.JSONDecodeError as e:
-                        raise IngestError(
-                            f"line {lineno}: invalid record: {e}") from None
-                yield rec
-
-    return ingest(gen(), name_mode=name_mode)
+    with open(path) as f:
+        return ingest(_records(f), name_mode=name_mode)
 
 
-SNAPSHOT_HEADER = "qer-dataset-v1"
+SNAPSHOT_HEADER = "qer-dataset-v2"
 
 
 def save_snapshot(ds: Dataset, path):
-    payload = {
-        "name_mode": ds.name_mode,
-        "references": [
-            {
-                "id": r.id,
-                "name": r.name,
-                "extra_attrs": dict(r.extra_attrs),
-                "hyperedges": sorted(r.hyperedges),
-            }
-            for r in ds.references.values()
-        ],
-        "hyperedges": [
-            {"id": h.id, "refs": list(h.refs),
-             "extra_attrs": dict(h.extra_attrs)}
-            for h in ds.hyperedges.values()
-        ],
-    }
+    """Write a header line, ``SNAPSHOT_HEADER`` and ``ds.name_mode``, then
+    one record per hyper-edge as ``ingest_file`` reads it, so that
+    ``load_snapshot`` rebuilds ``ds`` by ingesting them.  ``ds`` is one that
+    ``ingest`` built: each reference on one hyper-edge.  An author writes
+    its attributes only when they are not the record's own mapping."""
     with open(path, "w") as f:
-        f.write(SNAPSHOT_HEADER + "\n")
-        json.dump(payload, f)
-
-
-def _field(obj, key: str, kind: type, where: str, default=None):
-    """``obj[key]``, checked to be a ``kind``; ``default`` stands in for a
-    missing optional key (a key without a default is required)."""
-    if not isinstance(obj, dict):
-        raise IngestError(f"snapshot {where}: not a mapping")
-    if key not in obj and default is not None:
-        return default
-    value = obj.get(key)
-    if not isinstance(value, kind):
-        raise IngestError(f"snapshot {where}: {key!r} missing or not "
-                          f"a {kind.__name__}")
-    return value
-
-
-def _strings(obj, key: str, kind: type, where: str, default=None):
-    """A list of strings, or a mapping to strings, at ``obj[key]``."""
-    value = _field(obj, key, kind, where, default)
-    items = value.values() if isinstance(value, dict) else value
-    if not all(isinstance(v, str) for v in items):
-        raise IngestError(f"snapshot {where}: {key!r} holds a non-string")
-    return value
+        f.write(f"{SNAPSHOT_HEADER} {ds.name_mode}\n")
+        for h in ds.hyperedges.values():
+            authors = []
+            for rid in h.refs:
+                r = ds.references[rid]
+                author = {"id": rid, "name": r.name}
+                if r.extra_attrs is not h.extra_attrs:
+                    author = {**r.extra_attrs, **author}
+                authors.append(author)
+            f.write(json.dumps({"pub_id": h.id, **h.extra_attrs,
+                                "authors": authors}) + "\n")
 
 
 def load_snapshot(path) -> Dataset:
+    """The dataset ``save_snapshot`` wrote: its records, ingested in the
+    header's ``name_mode``; record lines are numbered from 2."""
     with open(path) as f:
         header = f.readline().strip()
-        if header != SNAPSHOT_HEADER:
+        version, _, name_mode = header.partition(" ")
+        if version != SNAPSHOT_HEADER:
             raise IngestError(f"unrecognized snapshot header {header!r}")
-        try:
-            payload = json.load(f)
-        except json.JSONDecodeError as e:
-            raise IngestError(f"snapshot {path}: invalid JSON: {e}") from e
-    name_mode = _field(payload, "name_mode", str, "payload", "text")
-    if name_mode not in NAME_MODES:
-        raise IngestError(f"snapshot payload: unknown name_mode {name_mode!r}")
-    # equal hyper-edge lists and equal attribute mappings share one
-    # read-only object, as after ingest
-    lists: dict[tuple[str, ...], tuple[str, ...]] = {}
-    maps: dict[tuple, Mapping[str, str]] = {(): NO_ATTRS}
-    build = _reference_builder()
-
-    def attrs(values):
-        return maps.setdefault(tuple(values.items()), MappingProxyType(values))
-
-    def reference(r, where):
-        rid = _field(r, "id", str, where)
-        ids = tuple(_strings(r, "hyperedges", list, where, []))
-        if len(set(ids)) != len(ids):
-            twice = next(h for h in ids if ids.count(h) > 1)
-            raise IngestError(f"snapshot reference {rid}: hyper-edge "
-                              f"{twice} listed twice")
-        name = _field(r, "name", str, where)
-        extra = attrs(_strings(r, "extra_attrs", dict, where, {}))
-        try:
-            return build(rid, name, extra, lists.setdefault(ids, ids))
-        except IngestError as e:
-            raise IngestError(f"snapshot reference {rid}: {e}") from None
-
-    refs = [reference(r, f"reference {i}") for i, r in
-            enumerate(_field(payload, "references", list, "payload"))]
-    edges = [
-        HyperEdge(
-            id=_field(h, "id", str, f"hyper-edge {i}"),
-            refs=tuple(_strings(h, "refs", list, f"hyper-edge {i}")),
-            extra_attrs=attrs(_strings(h, "extra_attrs", dict,
-                                       f"hyper-edge {i}", {})),
-        )
-        for i, h in enumerate(_field(payload, "hyperedges", list, "payload"))
-    ]
-    for kind, items in (("reference", refs), ("hyper-edge", edges)):
-        seen: set[str] = set()
-        for x in items:
-            if x.id in seen:
-                raise IngestError(f"snapshot: duplicate {kind} id {x.id!r}")
-            seen.add(x.id)
-    return Dataset(refs, edges, name_mode=name_mode)
+        if name_mode not in NAME_MODES:
+            raise IngestError(f"snapshot header {header!r}: unknown "
+                              f"name_mode {name_mode!r}")
+        return ingest(_records(f, 2), name_mode=name_mode)
 
 
 def save_gold(gold: GoldLabeling, path):

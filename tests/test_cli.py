@@ -230,9 +230,9 @@ def test_ingest_numeric_rejects_non_numeric_name(tmp_path, capsys):
 
 def test_query_malformed_snapshot(tmp_path, capsys):
     snap = tmp_path / "ds.json"
-    snap.write_text(corpus.SNAPSHOT_HEADER + "\n{}")
+    snap.write_text(corpus.SNAPSHOT_HEADER + " text\n{}")
     assert main(["query", "W. Wang", "--dataset", str(snap)]) == 2
-    assert "error:" in capsys.readouterr().err
+    assert "error: record 0: missing pub_id" in capsys.readouterr().err
 
 
 @pytest.fixture
@@ -244,6 +244,25 @@ def synth_files(tmp_path):
     gold = tmp_path / "synth_gold.txt"
     corpus.save_gold(out.gold, str(gold))
     return str(records), str(gold)
+
+
+@pytest.mark.parametrize("mode", ["text", "numeric"])
+def test_query_snapshot_answers_as_its_records(records_file, synth_files,
+                                               tmp_path, capsys, mode):
+    # the snapshot's header carries the name mode: no --name-mode on load
+    # ("499.0", the name of p0:0, gets another answer in text mode)
+    records, value = ((records_file, "W. Wang") if mode == "text"
+                      else (synth_files[0], "499.0"))
+    snap = str(tmp_path / "ds.snap")
+    assert main(["ingest", records, "--dataset", snap,
+                 "--name-mode", mode]) == 0
+    capsys.readouterr()
+    assert main(["query", value, "--dataset", snap]) == 0
+    from_snapshot = capsys.readouterr().out
+    assert main(["query", value, "--records", records,
+                 "--name-mode", mode]) == 0
+    assert capsys.readouterr().out == from_snapshot
+    assert from_snapshot.strip()
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "bob"])

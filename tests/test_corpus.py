@@ -16,8 +16,8 @@ from qer.similarity import SimilarityConfig, SimilarityContext
 from qer.corpus import (
     Dataset,
     GoldLabeling,
+    HyperEdge,
     IngestError,
-    SNAPSHOT_HEADER,
     Query,
     Reference,
     blocking_key,
@@ -168,15 +168,6 @@ def test_query_requires_value():
         Query(value="")
 
 
-def test_snapshot_roundtrip(corpus_ds, tmp_path):
-    path = tmp_path / "snap.txt"
-    save_snapshot(corpus_ds, path)
-    ds2 = load_snapshot(path)
-    assert set(ds2.references) == set(corpus_ds.references)
-    assert ds2.hyperedges["h3"].refs == corpus_ds.hyperedges["h3"].refs
-    assert ds2.name_mode == corpus_ds.name_mode
-
-
 def test_gold_roundtrip(tmp_path):
     gold = GoldLabeling(dict(GOLD_ASSIGNMENTS))
     path = tmp_path / "gold.txt"
@@ -217,26 +208,36 @@ def test_numeric_mode_rejects_non_finite_names(name):
     assert ingest(records).references["bad"].name == name  # text mode
 
 
-@pytest.mark.parametrize("payload", [json.dumps(p) for p in [
-    {},
-    [],
-    {"references": [], "hyperedges": {}},
-    {"references": [{"name": "A. Aa"}], "hyperedges": []},
-    {"references": [{"id": 1, "name": "A. Aa"}], "hyperedges": []},
-    {"references": [{"id": "a", "name": "A. Aa", "hyperedges": [["p"]]}],
-     "hyperedges": [{"id": "p", "refs": ["a"]}]},
-    {"references": [], "hyperedges": [{"id": "p", "refs": "a"}]},
-    {"references": [], "hyperedges": [], "name_mode": "roman"},
-    {"references": [{"id": "a", "name": "A. Aa", "hyperedges": ["p"]},
-                    {"id": "a", "name": "B. Bb", "hyperedges": ["p"]}],
-     "hyperedges": [{"id": "p", "refs": ["a"]}]},
-    {"references": [{"id": "a", "name": "A. Aa", "hyperedges": ["p"]}],
-     "hyperedges": [{"id": "p", "refs": ["a"]}, {"id": "p", "refs": ["a"]}]},
-]] + ["{"])
-def test_malformed_snapshot_raises_ingest_error(tmp_path, payload):
+REC = '{"pub_id": "p", "authors": [{"id": "a", "name": "A. Aa"}]}'
+
+
+@pytest.mark.parametrize("text, match", [
+    # the header names the format and the name mode
+    ("qer-dataset-v2\n" + REC,
+     "snapshot header 'qer-dataset-v2': unknown name_mode ''"),
+    ("qer-dataset-v2 roman\n" + REC,
+     "snapshot header 'qer-dataset-v2 roman': unknown name_mode 'roman'"),
+    # record lines are numbered after the header
+    ("qer-dataset-v2 text\n{\n", "line 2: invalid record: Expecting"),
+    ("qer-dataset-v2 text\n" + REC + "\n\n[]\n",
+     "record 1: not a mapping"),
+    ("qer-dataset-v2 text\n" + REC + "\n" + REC + "\n",
+     "record 1: duplicate pub_id 'p'"),
+    ('qer-dataset-v2 text\n{"pub_id": "p", "authors": [{"id": "a"}]}\n',
+     "record p: author 0 has no name"),
+    ('qer-dataset-v2 text\n{"pub_id": "p", "authors": ['
+     '{"id": "a", "name": "A. Aa"}, {"id": "b", "name": ". ."}]}\n',
+     "record 0 (p): empty author name"),
+    ('qer-dataset-v2 numeric\n{"pub_id": "p", "authors": ['
+     '{"id": "a", "name": "1.5"}, {"id": "b", "name": "nan"}]}\n',
+     "reference b: numeric value 'nan' is not a finite number"),
+], ids=["no name mode", "unknown name mode", "broken line", "not a mapping",
+        "duplicate pub_id", "no author name", "empty author name",
+        "non-finite numeric name"])
+def test_malformed_snapshot_raises_ingest_error(tmp_path, text, match):
     path = tmp_path / "snap.txt"
-    path.write_text(SNAPSHOT_HEADER + "\n" + payload)
-    with pytest.raises(IngestError, match="snapshot"):
+    path.write_text(text)
+    with pytest.raises(IngestError, match=re.escape(match)):
         load_snapshot(path)
 
 
@@ -349,7 +350,53 @@ def test_snapshot_bytes_unchanged(corpus_ds, tmp_path):
     path = tmp_path / "snap.txt"
     save_snapshot(corpus_ds, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "bb344bb51172878695e32b67e53ccd8d4e84770cc136be4dbed1fa5f3797b23a")
+        "2f0c27d31322a9a2ae50f2cb63c5d39cfaeb037bb54fdbfd06e0346e7aac06c8")
+
+
+def _layout(ds):
+    """Everything a dataset holds, and how many distinct attribute mappings
+    and hyper-edge tuples its references and edges share."""
+    refs = [(r.id, r.name, r.norm_name, r.norm_name is r.name,
+             list(r.extra_attrs.items()), r.hyperedges)
+            for r in ds.references.values()]
+    edges = [(h.id, h.refs, list(h.extra_attrs.items()))
+             for h in ds.hyperedges.values()]
+    objects = [r.extra_attrs for r in ds.references.values()]
+    objects += [h.extra_attrs for h in ds.hyperedges.values()]
+    shared = (len({id(x) for x in objects}),
+              len({id(r.hyperedges) for r in ds.references.values()}))
+    return ds.name_mode, refs, edges, ds.name_index, shared
+
+
+def _assert_round_trip(ds, tmp_path):
+    """save -> load rebuilds ``ds``, and saving that gives the same bytes."""
+    first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+    save_snapshot(ds, first)
+    loaded = load_snapshot(first)
+    assert _layout(loaded) == _layout(ds)
+    save_snapshot(loaded, second)
+    assert second.read_bytes() == first.read_bytes()
+
+
+def test_snapshot_roundtrip(corpus_ds, tmp_path):
+    _assert_round_trip(corpus_ds, tmp_path)
+    # authors with attributes of their own
+    _assert_round_trip(ingest([
+        {"pub_id": "p", "year": 2007, "venue": "kdd", "authors": [
+            "A. Aa", {"id": "b", "name": "B. Bb"},
+            {"id": "c", "name": "C. Cc", "affil": "umd", "year": "2008"}]},
+        {"pub_id": "q", "year": 2007, "venue": "kdd", "authors": [
+            {"id": "d", "name": "A.  Aa", "affil": "umd"}]},
+        # a record attribute an author's own "name" must not overwrite
+        {"pub_id": "r", "name": "Proc. KDD", "authors": [
+            {"id": "e", "name": "E. Ee", "affil": "umd"}]}]), tmp_path)
+
+
+@pytest.mark.parametrize("how", [
+    "ingest text", "ingest numeric", "synthgen", "ingest_file text",
+    "ingest_file numeric", "load_snapshot text", "load_snapshot numeric"])
+def test_snapshot_round_trip_of_each_built_dataset(tmp_path, how):
+    _assert_round_trip(_built_datasets(tmp_path)[how], tmp_path)
 
 
 def test_storage_layout(tmp_path):
@@ -418,51 +465,42 @@ def test_ingest_retains_under_450_bytes_per_reference():
 
 
 def test_reference_repr_hides_norm_name():
-    r = Reference(id="r1", name="W.  Wang")
+    r = Reference(id="r1", name="W.  Wang",
+                  norm_name=normalize_name("W.  Wang"))
     assert r.norm_name == "w wang"
     assert "norm_name" not in repr(r) and "w wang" not in repr(r)
 
 
-def _snapshot(tmp_path, refs, edges, header=SNAPSHOT_HEADER):
-    path = tmp_path / "snap.txt"
-    path.write_text(header + "\n"
-                    + json.dumps({"references": refs, "hyperedges": edges}))
-    return path
-
-
 def _ref(rid, *edges):
-    return {"id": rid, "name": "A. Aa", "hyperedges": list(edges)}
+    return Reference(rid, "A. Aa", "a aa", hyperedges=edges)
 
 
 @pytest.mark.parametrize("refs, edges, match", [
-    ([_ref("a", "p"), _ref("b", "p")], [{"id": "p", "refs": ["a"]}],
+    ([_ref("a", "p"), _ref("b", "p")], [HyperEdge("p", ("a",))],
      "reference b lists hyper-edge p which does not list it back"),
     ([_ref("a", "q")], [], "reference a lists hyper-edge q"),
-    ([], [{"id": "p", "refs": []}], "hyper-edge p is empty"),
-    ([_ref("a", "p")], [{"id": "p", "refs": ["a", "a"]}],
+    ([], [HyperEdge("p", ())], "hyper-edge p is empty"),
+    ([_ref("a", "p")], [HyperEdge("p", ("a", "a"))],
      "hyper-edge p has duplicate references"),
-    ([_ref("a", "p")], [{"id": "p", "refs": ["a", "z"]}],
+    ([_ref("a", "p")], [HyperEdge("p", ("a", "z"))],
      "hyper-edge p lists unknown/inconsistent reference z"),
-    ([_ref("a", "p"), _ref("b")], [{"id": "p", "refs": ["a", "b"]}],
+    ([_ref("a", "p"), _ref("b")], [HyperEdge("p", ("a", "b"))],
      "hyper-edge p lists unknown/inconsistent reference b"),
-    ([_ref("a", "p"), _ref("b", "p", "q", "p")],
-     [{"id": "p", "refs": ["a", "b"]}, {"id": "q", "refs": ["b"]}],
-     "snapshot reference b: hyper-edge p listed twice"),
-    ([_ref("a", "p"), {"id": "b", "name": ". .", "hyperedges": ["p"]}],
-     [{"id": "p", "refs": ["a", "b"]}],
-     "snapshot reference b: empty author name"),
 ])
-def test_inconsistent_snapshot_names_the_edge_or_reference(tmp_path, refs,
-                                                           edges, match):
+def test_inconsistent_dataset_names_the_edge_or_reference(refs, edges,
+                                                          match):
+    # records cannot express these: only a hand-built dataset breaks them
     with pytest.raises(IngestError, match=match):
-        load_snapshot(_snapshot(tmp_path, refs, edges))
+        Dataset(refs, edges)
 
 
 def test_snapshot_with_a_wrong_header_is_refused(tmp_path):
-    path = _snapshot(tmp_path, [], [], header="qer-dataset-v0")
-    with pytest.raises(IngestError,
-                       match="unrecognized snapshot header 'qer-dataset-v0'"):
-        load_snapshot(path)
+    path = tmp_path / "snap.txt"
+    for header in ("qer-dataset-v0", "qer-dataset-v1"):
+        path.write_text(header + '\n{"references": [], "hyperedges": []}')
+        with pytest.raises(IngestError,
+                           match=f"unrecognized snapshot header '{header}'"):
+            load_snapshot(path)
 
 
 @pytest.mark.parametrize("record, match", [

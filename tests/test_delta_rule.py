@@ -8,7 +8,8 @@ import random
 
 import pytest
 
-from qer.corpus import Dataset, HyperEdge, Reference, ingest
+from qer.corpus import (Dataset, HyperEdge, Reference, ingest,
+                        normalize_name)
 from qer.expansion import x_a
 from qer.rcer import block_candidates
 from qer.similarity import (SimilarityConfig, SimilarityContext,
@@ -26,7 +27,7 @@ def _text_dataset(records):
     """A text dataset of {pub_id: [(reference id, name), ...]}, built by
     hand: ``ingest`` refuses a name that normalizes to nothing, as "."
     does."""
-    refs = [Reference(rid, name, hyperedges=(pub,))
+    refs = [Reference(rid, name, normalize_name(name), hyperedges=(pub,))
             for pub, authors in records.items() for rid, name in authors]
     return Dataset(refs, [HyperEdge(pub, tuple(rid for rid, _ in authors))
                           for pub, authors in records.items()])
