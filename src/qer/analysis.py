@@ -67,13 +67,13 @@ def _has_witness(ds: Dataset, gold: GoldLabeling, ctx: SimilarityContext,
                  r1: str, r2: str, same_entity: bool) -> bool:
     """Some co-occurring partners of r1 and r2 are a liberal-similar pair of
     one entity (an identifying witness) or, without ``same_entity``, of two
-    (an ambiguous witness); one co-occurrence seen from both sides is not a
+    (an ambiguous witness); one partner seen from both sides is not a
     pair."""
-    for h1, p1 in ds.cooccurrences(r1):
+    for p1 in ds.cooccurrences(r1):
         n1 = ds.references[p1].norm_name
-        for h2, p2 in ds.cooccurrences(r2):
+        for p2 in ds.cooccurrences(r2):
             if (gold.entity_of(p1) == gold.entity_of(p2)) == same_entity \
-                    and (h1, p1) != (h2, p2) \
+                    and p1 != p2 \
                     and ctx.delta_similar(n1, ds.references[p2].norm_name):
                 return True
     return False
@@ -99,7 +99,7 @@ def estimate_neighbor_weights(ds: Dataset, gold: GoldLabeling
     counts: dict[str, Counter] = defaultdict(Counter)
     for rid in ds.references:
         e = gold.entity_of(rid)
-        for _, other in ds.cooccurrences(rid):
+        for other in ds.cooccurrences(rid):
             counts[e][gold.entity_of(other)] += 1
     out: dict[str, dict[str, float]] = {}
     for e, c in counts.items():

@@ -101,14 +101,15 @@ class Reference:
     in by ``ingest``, which normalizes each distinct raw name once per call;
     ``name`` is not reassigned afterwards.  An already normalized name
     (every numeric one) is stored as itself and the others are interned, so
-    equal names share one string.  ``extra_attrs`` and ``hyperedges`` are
-    read-only and may be shared with other references."""
+    equal names share one string.  ``edge`` is the id of the hyper-edge
+    (record) it was read from.  ``extra_attrs`` is read-only and may be
+    shared with other references."""
 
     id: str
     name: str
     norm_name: str = field(repr=False)
+    edge: str
     extra_attrs: Mapping[str, str] = field(default_factory=lambda: NO_ATTRS)
-    hyperedges: tuple[str, ...] = ()
 
 
 @dataclass(slots=True)
@@ -134,13 +135,11 @@ class Dataset:
 
     ``name_mode`` is one of ``NAME_MODES``.  ``name_index`` maps each
     normalized name to the tuple of its reference ids, in reference order.
-    Each reference's ``hyperedges`` is a tuple of distinct ids and its
-    ``extra_attrs`` a read-only mapping; ``ingest`` gives all authors of one
-    record one ``hyperedges`` object, and the record's own mapping to every
-    author without attributes of its own (``NO_ATTRS`` where there are
-    none).  ``name_buckets`` and ``corpus_stats`` are built on first use,
-    not at ingest; two concurrent first readers may both compute the same
-    value.
+    Each reference lies on one hyper-edge, which lists it back.  ``ingest``
+    gives the record's own read-only attribute mapping to every author
+    without attributes of its own (``NO_ATTRS`` where there are none).
+    ``name_buckets`` and ``corpus_stats`` are built on first use, not at
+    ingest; two concurrent first readers may both compute the same value.
     """
 
     def __init__(self, references, hyperedges, name_mode: str = "text"):
@@ -153,16 +152,17 @@ class Dataset:
         self._check_invariants()
 
     def _name_index(self) -> dict[str, tuple[str, ...]]:
+        """Numeric mode refuses a non-finite name, naming its first ref."""
         ids: dict = {}
         for r in self.references.values():
-            norm = r.norm_name
-            ids.setdefault(norm, []).append(r.id)
-            if self.name_mode == "numeric":
-                try:
-                    finite_number(norm)
-                except ValueError as e:
-                    raise IngestError(f"reference {r.id}: {e}") from None
+            ids.setdefault(r.norm_name, []).append(r.id)
+        numeric = self.name_mode == "numeric"
         for n, group in ids.items():  # in place: one dict at the peak
+            if numeric:
+                try:
+                    finite_number(n)
+                except ValueError as e:
+                    raise IngestError(f"reference {group[0]}: {e}") from None
             ids[n] = tuple(group)
         return ids
 
@@ -177,14 +177,7 @@ class Dataset:
         return CorpusStats(self)
 
     def _check_invariants(self):
-        for r in self.references.values():
-            for hid in r.hyperedges:
-                h = self.hyperedges.get(hid)
-                if h is None or r.id not in h.refs:
-                    raise IngestError(
-                        f"reference {r.id} lists hyper-edge {hid} "
-                        "which does not list it back"
-                    )
+        listed = 0
         for h in self.hyperedges.values():
             if not h.refs:
                 raise IngestError(f"hyper-edge {h.id} is empty")
@@ -192,19 +185,23 @@ class Dataset:
                 raise IngestError(f"hyper-edge {h.id} has duplicate references")
             for rid in h.refs:
                 r = self.references.get(rid)
-                if r is None or h.id not in r.hyperedges:
-                    raise IngestError(
-                        f"hyper-edge {h.id} lists unknown/inconsistent "
-                        f"reference {rid}"
-                    )
+                if r is None or r.edge != h.id:
+                    raise IngestError(f"hyper-edge {h.id} lists unknown/"
+                                      f"inconsistent reference {rid}")
+            listed += len(h.refs)
+        if listed == len(self.references):
+            return  # each reference is listed once, by its own edge
+        for r in self.references.values():
+            h = self.hyperedges.get(r.edge)
+            if h is None or r.id not in h.refs:
+                raise IngestError(f"reference {r.id} lists hyper-edge "
+                                  f"{r.edge} which does not list it back")
 
     def cooccurrences(self, rid: str):
-        """(hyper-edge id, partner reference id) for each other reference
-        on each of the reference's hyper-edges."""
-        for hid in self.references[rid].hyperedges:
-            for other in self.hyperedges[hid].refs:
-                if other != rid:
-                    yield hid, other
+        """The id of each other reference on the reference's hyper-edge."""
+        for other in self.hyperedges[self.references[rid].edge].refs:
+            if other != rid:
+                yield other
 
     def __len__(self):
         return len(self.references)
@@ -289,7 +286,6 @@ def ingest(records, name_mode: str = "text") -> Dataset:
                              f"record {i} ({pub_id})")
             if shared:
                 record_attrs = MappingProxyType(shared)
-        on_edge = (pub_id,)
         edge_refs = []
         for slot, entry in enumerate(authors):
             rid, name, attrs = _author_entry(entry, pub_id, slot, record_attrs)
@@ -304,7 +300,7 @@ def ingest(records, name_mode: str = "text") -> Dataset:
                 raise IngestError(f"record {i} ({pub_id}): duplicate ref id "
                                   f"{rid}")
             refs[rid] = Reference(rid, name, name if norm == name else norm,
-                                  attrs, on_edge)
+                                  pub_id, attrs)
             edge_refs.append(rid)
         edges[pub_id] = HyperEdge(pub_id, tuple(edge_refs), record_attrs)
     return Dataset(refs.values(), edges.values(), name_mode=name_mode)
@@ -347,8 +343,7 @@ SNAPSHOT_HEADER = "qer-dataset-v2"
 def save_snapshot(ds: Dataset, path):
     """Write a header line, ``SNAPSHOT_HEADER`` and ``ds.name_mode``, then
     one record per hyper-edge as ``ingest_file`` reads it, so that
-    ``load_snapshot`` rebuilds ``ds`` by ingesting them.  ``ds`` is one that
-    ``ingest`` built: each reference on one hyper-edge.  An author writes
+    ``load_snapshot`` rebuilds ``ds`` by ingesting them.  An author writes
     its attributes only when they are not the record's own mapping."""
     with open(path, "w") as f:
         f.write(f"{SNAPSHOT_HEADER} {ds.name_mode}\n")

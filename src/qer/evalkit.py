@@ -185,7 +185,7 @@ def _nr_relational_term(ds: Dataset, ctx: SimilarityContext,
     two references' co-occurring reference sets."""
     def conames(rid: str) -> list[str]:
         return [ds.references[other].norm_name
-                for _, other in ds.cooccurrences(rid)]
+                for other in ds.cooccurrences(rid)]
 
     n1, n2 = conames(r1), conames(r2)
     if not n1 or not n2:

@@ -43,7 +43,10 @@ class ExpansionParams:
 @dataclass
 class RelevantSet:
     levels: list[set[str]]
-    answerable: bool = True
+
+    @property
+    def answerable(self) -> bool:
+        return bool(self.levels[0])  # some reference matches the query
 
     @property
     def union(self) -> set[str]:
@@ -65,7 +68,7 @@ def x_a(ds: Dataset, value: str, delta: float = 0.0) -> set[str]:
 
 def x_h(ds: Dataset, refs: set[str]) -> set[str]:
     """References co-occurring with the input set, the input set excluded."""
-    return {other for rid in refs for _, other in ds.cooccurrences(rid)} - refs
+    return {other for rid in refs for other in ds.cooccurrences(rid)} - refs
 
 
 def x_a_exact(ds: Dataset, refs) -> set[str]:
@@ -168,7 +171,7 @@ def build_relevant_set(ds: Dataset, q: Query,
 
     level0 = x_a(ds, q.value, params.delta)
     if not level0:
-        return RelevantSet(levels=[set()], answerable=False)
+        return RelevantSet(levels=[set()])
     levels = [level0]
     seen = set(level0)
     frontier = level0

@@ -87,41 +87,36 @@ class RcerResult:
 
 
 class ClusterState:
-    """The merge loop's clusters: members, hyper-edges, per-attribute
-    representatives and neighbor-label counters, kept up to date by
-    ``merge``.  Cluster ids count up from 0 in the order of ``initial``."""
+    """The merge loop's clusters: members, per-attribute representatives
+    and neighbor-label counters, kept up to date by ``merge``.  Cluster ids
+    count up from 0 in the order of ``initial``."""
 
     def __init__(self, ds: Dataset, ctx: SimilarityContext,
                  initial: list[list[str]]):
         self.ds = ds
         self.ctx = ctx
         self.members: dict[int, set[str]] = {}
-        self.edges: dict[int, set[str]] = {}
         self.labels: dict[str, int] = {}
         self.reps: dict[int, dict[str, str | None]] = {}
         self.nbr: dict[int, Counter] = {}
         self.next_id = len(initial)
         for cid, group in enumerate(initial):
             self.members[cid] = set(group)
-            es: set[str] = set()
             for rid in group:
                 self.labels[rid] = cid
-                es.update(ds.references[rid].hyperedges)
-            self.edges[cid] = es
             self.reps[cid] = ctx.representatives(self.members[cid])
         for cid in self.members:
             self.nbr[cid] = self._compute_nbr(cid)
 
     def _compute_nbr(self, cid: int) -> Counter:
-        """Labels of the references on the cluster's hyper-edges, its own
-        label excluded, counted once per edge."""
-        counts: Counter = Counter()
-        for hid in self.edges[cid]:
-            for rid in self.ds.hyperedges[hid].refs:
-                lab = self.labels.get(rid)
-                if lab is not None and lab != cid:
-                    counts[lab] += 1
-        return counts
+        """Labels of the cluster members' co-occurrence partners, its own
+        label excluded.  Each partner counts once, and so each edge's
+        references once, since a partner lies on one edge."""
+        labels = self.labels
+        partners = {p for rid in self.members[cid]
+                    for p in self.ds.cooccurrences(rid)}
+        return Counter(lab for p in partners
+                       if (lab := labels.get(p)) is not None and lab != cid)
 
     def rel_sim(self, c1: int, c2: int) -> float:
         if self.ctx.cfg.multiset_neighborhood:
@@ -143,7 +138,6 @@ class ClusterState:
         new = self.next_id
         self.next_id += 1
         self.members[new] = self.members.pop(c1) | self.members.pop(c2)
-        self.edges[new] = self.edges.pop(c1) | self.edges.pop(c2)
         for rid in self.members[new]:
             self.labels[rid] = new
         self.reps.pop(c1), self.reps.pop(c2)

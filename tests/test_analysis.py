@@ -65,19 +65,18 @@ def _brute_force_relational(ds, gold, cfg):
     name = lambda r: ds.references[r].norm_name
 
     def witness(r1, r2, same_entity):
-        for h1 in ds.references[r1].hyperedges:
-            for h2 in ds.references[r2].hyperedges:
-                for p1 in ds.hyperedges[h1].refs:
-                    if p1 == r1:
-                        continue
-                    for p2 in ds.hyperedges[h2].refs:
-                        if p2 == r2 or (p1 == p2 and h1 == h2):
-                            continue
-                        same = gold.entity_of(p1) == gold.entity_of(p2)
-                        if same != same_entity:
-                            continue
-                        if ctx.delta_similar(name(p1), name(p2)):
-                            return True
+        h1, h2 = ds.references[r1].edge, ds.references[r2].edge
+        for p1 in ds.hyperedges[h1].refs:
+            if p1 == r1:
+                continue
+            for p2 in ds.hyperedges[h2].refs:
+                if p2 == r2 or (p1 == p2 and h1 == h2):
+                    continue
+                same = gold.entity_of(p1) == gold.entity_of(p2)
+                if same != same_entity:
+                    continue
+                if ctx.delta_similar(name(p1), name(p2)):
+                    return True
         return False
 
     within, cross = {}, {}

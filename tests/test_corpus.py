@@ -73,7 +73,7 @@ def test_ingest_structure(corpus_ds):
     assert len(corpus_ds.hyperedges) == 4
     assert corpus_ds.hyperedges["h1"].refs == ("r1", "r2", "r3")
     assert corpus_ds.references["r9"].norm_name == "w w wang"
-    assert corpus_ds.references["r4"].hyperedges == ("h2",)
+    assert corpus_ds.references["r4"].edge == "h2"
 
 
 def test_ingest_rejects_duplicate_pub():
@@ -157,8 +157,9 @@ def test_lookup_name(corpus_ds):
 
 
 def test_cooccurring(corpus_ds):
-    assert set(corpus_ds.cooccurrences("r1")) == {("h1", "r2"), ("h1", "r3")}
-    assert set(corpus_ds.cooccurrences("r4")) == {("h2", "r5")}
+    assert list(corpus_ds.cooccurrences("r1")) == ["r2", "r3"]
+    assert list(corpus_ds.cooccurrences("r2")) == ["r1", "r3"]
+    assert list(corpus_ds.cooccurrences("r4")) == ["r5"]
     with pytest.raises(KeyError):
         list(corpus_ds.cooccurrences("zz"))
 
@@ -206,6 +207,14 @@ def test_numeric_mode_rejects_non_finite_names(name):
     with pytest.raises(IngestError, match="reference bad"):
         ingest(records, name_mode="numeric")
     assert ingest(records).references["bad"].name == name  # text mode
+    # each distinct name is checked once; the error names the first
+    # reference carrying it
+    records = [{"pub_id": "p", "authors": [{"id": "a", "name": "1.0"}]},
+               {"pub_id": "q", "authors": [{"id": "b1", "name": name},
+                                           {"id": "ok", "name": "2.0"},
+                                           {"id": "b2", "name": name}]}]
+    with pytest.raises(IngestError, match=r"^reference b1: "):
+        ingest(records, name_mode="numeric")
 
 
 REC = '{"pub_id": "p", "authors": [{"id": "a", "name": "A. Aa"}]}'
@@ -355,17 +364,16 @@ def test_snapshot_bytes_unchanged(corpus_ds, tmp_path):
 
 def _layout(ds):
     """Everything a dataset holds, and how many distinct attribute mappings
-    and hyper-edge tuples its references and edges share."""
+    its references and edges share."""
     refs = [(r.id, r.name, r.norm_name, r.norm_name is r.name,
-             list(r.extra_attrs.items()), r.hyperedges)
+             list(r.extra_attrs.items()), r.edge)
             for r in ds.references.values()]
     edges = [(h.id, h.refs, list(h.extra_attrs.items()))
              for h in ds.hyperedges.values()]
     objects = [r.extra_attrs for r in ds.references.values()]
     objects += [h.extra_attrs for h in ds.hyperedges.values()]
-    shared = (len({id(x) for x in objects}),
-              len({id(r.hyperedges) for r in ds.references.values()}))
-    return ds.name_mode, refs, edges, ds.name_index, shared
+    return (ds.name_mode, refs, edges, ds.name_index,
+            len({id(x) for x in objects}))
 
 
 def _assert_round_trip(ds, tmp_path):
@@ -400,16 +408,15 @@ def test_snapshot_round_trip_of_each_built_dataset(tmp_path, how):
 
 
 def test_storage_layout(tmp_path):
-    # however a dataset is built: slotted records, one hyper-edge tuple shared
-    # by the authors of a record, the one empty mapping for every reference
+    # however a dataset is built: slotted records, each author's edge the
+    # record's own id string, the one empty mapping for every reference
     # and edge without attributes, and name_index tuples in reference order
     for how, ds in _built_datasets(tmp_path).items():
         for h in ds.hyperedges.values():
             assert not hasattr(h, "__dict__"), how
             assert h.extra_attrs is qer.corpus.NO_ATTRS, how
-            on_edge = {id(ds.references[rid].hyperedges) for rid in h.refs}
-            assert len(on_edge) == 1, (how, h.id)
-            assert ds.references[h.refs[0]].hyperedges == (h.id,), how
+            for rid in h.refs:
+                assert ds.references[rid].edge is h.id, (how, rid)
         for r in ds.references.values():
             assert not hasattr(r, "__dict__"), how
             assert r.extra_attrs is qer.corpus.NO_ATTRS, how
@@ -441,12 +448,11 @@ def test_extra_attrs_are_shared_read_only_mappings(tmp_path):
         for attrs in (a.extra_attrs, c.extra_attrs):
             with pytest.raises(TypeError):
                 attrs["venue"] = "icde"
-        assert a.hyperedges is b.hyperedges is c.hyperedges, how
-        assert type(a.hyperedges) is tuple, how
+        assert a.edge is b.edge is c.edge is edge.id, how
 
 
 def test_ingest_retains_under_450_bytes_per_reference():
-    # the resident cost of a loaded corpus, counted by tracemalloc: 361 B
+    # the resident cost of a loaded corpus, counted by tracemalloc: 245 B
     # per reference on CPython 3.11 (764 B with a mutable hyper-edge set
     # and an attribute dict per reference and a set per name)
     records = synthgen.generate(synthgen.GenParams(
@@ -466,13 +472,13 @@ def test_ingest_retains_under_450_bytes_per_reference():
 
 def test_reference_repr_hides_norm_name():
     r = Reference(id="r1", name="W.  Wang",
-                  norm_name=normalize_name("W.  Wang"))
+                  norm_name=normalize_name("W.  Wang"), edge="h1")
     assert r.norm_name == "w wang"
     assert "norm_name" not in repr(r) and "w wang" not in repr(r)
 
 
-def _ref(rid, *edges):
-    return Reference(rid, "A. Aa", "a aa", hyperedges=edges)
+def _ref(rid, edge):
+    return Reference(rid, "A. Aa", "a aa", edge)
 
 
 @pytest.mark.parametrize("refs, edges, match", [
@@ -484,7 +490,9 @@ def _ref(rid, *edges):
      "hyper-edge p has duplicate references"),
     ([_ref("a", "p")], [HyperEdge("p", ("a", "z"))],
      "hyper-edge p lists unknown/inconsistent reference z"),
-    ([_ref("a", "p"), _ref("b")], [HyperEdge("p", ("a", "b"))],
+    # b lies on q, but p lists it too
+    ([_ref("a", "p"), _ref("b", "q")],
+     [HyperEdge("p", ("a", "b")), HyperEdge("q", ("b",))],
      "hyper-edge p lists unknown/inconsistent reference b"),
 ])
 def test_inconsistent_dataset_names_the_edge_or_reference(refs, edges,

@@ -27,7 +27,7 @@ def _text_dataset(records):
     """A text dataset of {pub_id: [(reference id, name), ...]}, built by
     hand: ``ingest`` refuses a name that normalizes to nothing, as "."
     does."""
-    refs = [Reference(rid, name, normalize_name(name), hyperedges=(pub,))
+    refs = [Reference(rid, name, normalize_name(name), pub)
             for pub, authors in records.items() for rid, name in authors]
     return Dataset(refs, [HyperEdge(pub, tuple(rid for rid, _ in authors))
                           for pub, authors in records.items()])

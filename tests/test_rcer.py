@@ -1,8 +1,11 @@
 import heapq
+import importlib.util
 import itertools
 import random
+import sys
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -70,22 +73,24 @@ def test_bootstrap_exact_name_mode(corpus_ds):
 
 
 def test_merge_errors(corpus_ds, ctx):
-    state = ClusterState(corpus_ds, ctx, [["r1"], ["r4"], ["r8"]])
+    state = ClusterState(corpus_ds, ctx, [["r1"], ["r4"], ["r8"], ["r2"],
+                                          ["r5"]])
     with pytest.raises(ValueError):
         state.merge(0, 0)
     new = state.merge(0, 1)
     assert state.members[new] == {"r1", "r4"}
-    assert state.edges[new] == {"h1", "h2"}
+    # the co-authors of both members, r2 on h1 and r5 on h2
+    assert state.nbr[new] == {3: 1, 4: 1}
     with pytest.raises(KeyError):
         state.merge(0, 2)  # 0 retired by the previous merge
 
 
 def _recount(ds, state, cid):
-    """Neighbor labels of a cluster from scratch: each (hyper-edge, partner)
-    incidence of its members once, the cluster's own label left out."""
-    incidences = {inc for rid in state.members[cid]
-                  for inc in ds.cooccurrences(rid)}
-    return Counter(state.labels[other] for _, other in incidences
+    """Neighbor labels of a cluster from scratch: each reference on its
+    members' hyper-edges once, the cluster's own label left out."""
+    edges = {ds.references[rid].edge for rid in state.members[cid]}
+    return Counter(state.labels[other] for hid in edges
+                   for other in ds.hyperedges[hid].refs
                    if state.labels[other] != cid)
 
 
@@ -234,6 +239,41 @@ def test_merge_log_equals_naive_oracle(seed, alpha, multiset):
     assert len(ref_ids) > 150
     assert run_rcer(out.dataset, ref_ids, cfg).merge_log == \
         _naive_rcer(out.dataset, ref_ids, cfg)[1]
+
+
+def _bench_textgen():
+    """The benchmark's text corpus generator, ``bench/textgen.py``."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "textgen.py"
+    spec = importlib.util.spec_from_file_location("textgen", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["textgen"] = module  # where dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+textgen = _bench_textgen()
+
+
+@pytest.fixture(scope="module", params=[1, 2])
+def text_corpus(request):
+    return ingest(textgen.generate(
+        n_entities=200, n_relationships=300, n_pubs=200,
+        seed=request.param).records)
+
+
+@pytest.mark.parametrize("multiset", [False, True])
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+def test_text_merge_log_equals_naive_oracle(text_corpus, alpha, multiset):
+    """The same oracle on corpora of the benchmark's text generator: about
+    450 references whose names share surnames, initials and typos."""
+    cfg = SimilarityConfig(alpha=alpha, epsilon=0.9, delta=0.9,
+                           merge_threshold=0.0,
+                           multiset_neighborhood=multiset)
+    ref_ids = sorted(text_corpus.references)
+    assert len(ref_ids) > 400
+    log = run_rcer(text_corpus, ref_ids, cfg).merge_log
+    assert len(log) > 200
+    assert log == _naive_rcer(text_corpus, ref_ids, cfg)[1]
 
 
 class _CountingHeapq:
