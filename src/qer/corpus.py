@@ -133,23 +133,38 @@ class GoldLabeling:
 class Dataset:
     """Immutable after construction; safe for concurrent readers.
 
-    ``name_mode`` is one of ``NAME_MODES``.  ``name_index`` maps each
-    normalized name to the tuple of its reference ids, in reference order.
-    Each reference lies on one hyper-edge, which lists it back.  ``ingest``
-    gives the record's own read-only attribute mapping to every author
-    without attributes of its own (``NO_ATTRS`` where there are none).
-    ``name_buckets`` and ``corpus_stats`` are built on first use, not at
-    ingest; two concurrent first readers may both compute the same value.
+    ``Dataset(refs)`` builds one hyper-edge per ``Reference.edge``, listing
+    its references in reference order.  ``edge_attrs`` maps an edge id to
+    its record's read-only attribute mapping; other edges get ``NO_ATTRS``.
+    ``ingest`` gives that mapping to every author without attributes of its
+    own.  A duplicate reference id, or attributes for an edge without
+    references, raise ``IngestError``.  ``name_mode`` is one of
+    ``NAME_MODES``.  ``name_index`` maps each normalized name to the tuple
+    of its reference ids, in reference order.  ``name_buckets`` and
+    ``corpus_stats`` are built on first use, not at ingest; two concurrent
+    first readers may both compute the same value.
     """
 
-    def __init__(self, references, hyperedges, name_mode: str = "text"):
+    def __init__(self, references, edge_attrs: Mapping = NO_ATTRS,
+                 name_mode: str = "text"):
         if name_mode not in NAME_MODES:
             raise IngestError(f"unknown name_mode {name_mode!r}")
-        self.references: dict[str, Reference] = {r.id: r for r in references}
-        self.hyperedges: dict[str, HyperEdge] = {h.id: h for h in hyperedges}
+        self.references: dict[str, Reference] = {}
+        members: dict[str, list[str]] = {}
+        for r in references:
+            if r.id in self.references:
+                raise IngestError(f"duplicate reference id {r.id}")
+            self.references[r.id] = r
+            members.setdefault(r.edge, []).append(r.id)
+        for e in edge_attrs:
+            if e not in members:
+                raise IngestError(f"hyper-edge {e} has attributes but no "
+                                  "references")
+        self.hyperedges: dict[str, HyperEdge] = {
+            e: HyperEdge(e, tuple(ids), edge_attrs.get(e, NO_ATTRS))
+            for e, ids in members.items()}
         self.name_mode = name_mode
         self.name_index: dict[str, tuple[str, ...]] = self._name_index()
-        self._check_invariants()
 
     def _name_index(self) -> dict[str, tuple[str, ...]]:
         """Numeric mode refuses a non-finite name, naming its first ref."""
@@ -175,27 +190,6 @@ class Dataset:
     def corpus_stats(self) -> CorpusStats:
         """``CorpusStats`` of the references, built on first use."""
         return CorpusStats(self)
-
-    def _check_invariants(self):
-        listed = 0
-        for h in self.hyperedges.values():
-            if not h.refs:
-                raise IngestError(f"hyper-edge {h.id} is empty")
-            if len(set(h.refs)) != len(h.refs):
-                raise IngestError(f"hyper-edge {h.id} has duplicate references")
-            for rid in h.refs:
-                r = self.references.get(rid)
-                if r is None or r.edge != h.id:
-                    raise IngestError(f"hyper-edge {h.id} lists unknown/"
-                                      f"inconsistent reference {rid}")
-            listed += len(h.refs)
-        if listed == len(self.references):
-            return  # each reference is listed once, by its own edge
-        for r in self.references.values():
-            h = self.hyperedges.get(r.edge)
-            if h is None or r.id not in h.refs:
-                raise IngestError(f"reference {r.id} lists hyper-edge "
-                                  f"{r.edge} which does not list it back")
 
     def cooccurrences(self, rid: str):
         """The id of each other reference on the reference's hyper-edge."""
@@ -264,7 +258,7 @@ def ingest(records, name_mode: str = "text") -> Dataset:
     An author name that normalizes to nothing (" ", ". .") is refused.
     """
     refs: dict[str, Reference] = {}
-    edges: dict[str, HyperEdge] = {}
+    attrs_of: dict[str, Mapping[str, str]] = {}  # pub_id -> record's attrs
     norms: dict[str, str] = {}  # each raw name seen -> its stored norm_name
     for i, rec in enumerate(records):
         if not isinstance(rec, dict):
@@ -273,7 +267,7 @@ def ingest(records, name_mode: str = "text") -> Dataset:
         if pub_id is None:
             raise IngestError(f"record {i}: missing pub_id")
         pub_id = str(pub_id)
-        if pub_id in edges:
+        if pub_id in attrs_of:
             raise IngestError(f"record {i}: duplicate pub_id {pub_id!r}")
         authors = rec.get("authors")
         if not authors:
@@ -286,7 +280,7 @@ def ingest(records, name_mode: str = "text") -> Dataset:
                              f"record {i} ({pub_id})")
             if shared:
                 record_attrs = MappingProxyType(shared)
-        edge_refs = []
+        attrs_of[pub_id] = record_attrs
         for slot, entry in enumerate(authors):
             rid, name, attrs = _author_entry(entry, pub_id, slot, record_attrs)
             norm = norms.get(name)
@@ -301,9 +295,7 @@ def ingest(records, name_mode: str = "text") -> Dataset:
                                   f"{rid}")
             refs[rid] = Reference(rid, name, name if norm == name else norm,
                                   pub_id, attrs)
-            edge_refs.append(rid)
-        edges[pub_id] = HyperEdge(pub_id, tuple(edge_refs), record_attrs)
-    return Dataset(refs.values(), edges.values(), name_mode=name_mode)
+    return Dataset(refs.values(), attrs_of, name_mode=name_mode)
 
 
 def _records(lines, start: int = 1):

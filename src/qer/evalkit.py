@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 
 from .corpus import Dataset, GoldLabeling, Query
-from .expansion import AmbiguityEstimator, ExpansionParams
+from .expansion import ExpansionParams
 # partition_at_threshold is unused here; bench/tracing.py times it here
 from .rcer import (RcerResult, block_candidates,  # noqa: F401
                    check_replayable, partition_at_threshold, resolve,
@@ -304,9 +304,8 @@ def run_trend_experiment(kind: str, grid, seeds, base_params,
         for seed in seeds:
             params = replace(base_params, seed=seed)
             out = synthgen.generate(params)
-            est = AmbiguityEstimator(out.dataset)
-            query_name = max(est.name_counts,
-                             key=lambda n: (est.name_counts[n], n))
+            names = out.dataset.name_index
+            query_name = max(names, key=lambda n: (len(names[n]), n))
             for d in levels:
                 sweep = query_level_sweep(out.dataset, query_name, cfg,
                                           out.gold, d, thresholds)

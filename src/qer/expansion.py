@@ -34,8 +34,9 @@ class ExpansionParams:
     def __post_init__(self):
         if self.d_star < 0:
             raise ValueError("d_star must be non-negative")
-        if self.h_max is not None and self.h_max < 1:
-            raise ValueError("h_max must be at least 1")
+        if self.h_max is not None and not 1 <= self.h_max < math.inf:
+            raise ValueError(f"h_max must be finite and at least 1, not "
+                             f"{self.h_max}")
         if self.a_max is not None and not 0 < self.a_max <= 1:
             raise ValueError("a_max must be in (0, 1]")
 
@@ -92,9 +93,7 @@ class AmbiguityEstimator:
     def __init__(self, ds: Dataset):
         self.numeric = ds.name_mode == "numeric"
         self.total = len(ds.references)
-        self.name_counts: dict[str, int] = {
-            n: len(ids) for n, ids in ds.name_index.items()
-        }
+        self.name_index = ds.name_index
         self.initials_by_last: dict[str, set[str]] = {}
         if not self.numeric:
             for r in ds.references.values():
@@ -107,7 +106,7 @@ class AmbiguityEstimator:
         if self.total == 0:
             return 0.0
         if self.numeric:
-            return self.name_counts.get(value, 0) / self.total
+            return len(self.name_index.get(value, ())) / self.total
         return self.distinct_initials(value) / self.total
 
     def distinct_initials(self, value: str) -> int:

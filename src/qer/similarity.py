@@ -59,9 +59,11 @@ class SimilarityConfig:
                       ("merge_threshold", self.merge_threshold)):
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{nm} out of range: {v}")
+        for attr, w in self.attr_weights.items():
+            if not 0 <= w < math.inf:
+                raise ValueError(f"attribute weight {attr!r} must be finite "
+                                 f"and non-negative, not {w}")
         total = sum(self.attr_weights.values())
-        if any(w < 0 for w in self.attr_weights.values()):
-            raise ValueError("attribute weights must be non-negative")
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"attribute weights sum to {total}, expected 1")
 

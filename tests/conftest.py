@@ -1,3 +1,7 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 
 from qer.corpus import GoldLabeling, ingest
@@ -59,3 +63,15 @@ def text_cfg():
 def numeric_cfg():
     return SimilarityConfig(alpha=0.5, epsilon=0.8, delta=0.7,
                             merge_threshold=0.3)
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def bench_module(name):
+    """The benchmark's ``bench/<name>.py``, imported by path, unchanged."""
+    spec = importlib.util.spec_from_file_location(name, BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # where dataclasses look it up
+    spec.loader.exec_module(module)
+    return module

@@ -173,9 +173,8 @@ def test_criterion_06_expansion_level_convergence():
     diffs = {met: ([], []) for met in ("recall", "precision")}
     for seed in range(30):
         out = synthgen.generate(replace(base, seed=seed))
-        est = expansion.AmbiguityEstimator(out.dataset)
-        query_name = max(est.name_counts,
-                         key=lambda n: (est.name_counts[n], n))
+        names = out.dataset.name_index
+        query_name = max(names, key=lambda n: (len(names[n]), n))
         m1, m2, m3 = (
             evalkit.query_level_sweep(out.dataset, query_name, SYNTH_CFG,
                                       out.gold, d, [threshold])[threshold]
@@ -204,9 +203,8 @@ def test_criterion_07_adaptive_expansion_accuracy():
         out = synthgen.generate(replace(base, seed=seed))
         ds = out.dataset
         mean_sizes.append(len(ds.references) / len(ds.hyperedges))
-        est = expansion.AmbiguityEstimator(ds)
-        query_name = max(est.name_counts,
-                         key=lambda n: (est.name_counts[n], n))
+        names = ds.name_index
+        query_name = max(names, key=lambda n: (len(names[n]), n))
         q = corpus.Query(value=query_name)
         full = expansion.build_relevant_set(
             ds, q, expansion.ExpansionParams(d_star=3, delta=SYNTH_CFG.delta))

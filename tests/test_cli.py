@@ -174,6 +174,16 @@ def test_query_usage_errors_exit_2(records_file, argv, message, capsys):
     assert not captured.out
 
 
+@pytest.mark.parametrize("h_max", ["inf", "nan"])
+def test_query_rejects_non_finite_h_max(records_file, h_max, capsys):
+    assert main(["query", "W. Wang", "--records", records_file,
+                 "--h-max", h_max]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: h_max must be finite and at least 1, " \
+        f"not {h_max}\n"
+    assert not captured.out
+
+
 @pytest.mark.parametrize("baseline", ["A", "A*", "NR", "NR*", "RC-ER"])
 @pytest.mark.parametrize("threshold", ["1.5", "nan", "-0.2"])
 def test_eval_rejects_threshold_out_of_range(records_file, gold_file,

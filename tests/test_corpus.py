@@ -16,7 +16,6 @@ from qer.similarity import SimilarityConfig, SimilarityContext
 from qer.corpus import (
     Dataset,
     GoldLabeling,
-    HyperEdge,
     IngestError,
     Query,
     Reference,
@@ -140,7 +139,7 @@ def test_unknown_name_mode_rejected(mode, tmp_path):
     path.write_text(json.dumps(records[0]) + "\n")
     for build in (lambda: ingest(records, name_mode=mode),
                   lambda: ingest_file(path, name_mode=mode),
-                  lambda: Dataset([], [], name_mode=mode)):
+                  lambda: Dataset([], name_mode=mode)):
         with pytest.raises(IngestError, match="unknown name_mode"):
             build()
 
@@ -481,25 +480,27 @@ def _ref(rid, edge):
     return Reference(rid, "A. Aa", "a aa", edge)
 
 
-@pytest.mark.parametrize("refs, edges, match", [
-    ([_ref("a", "p"), _ref("b", "p")], [HyperEdge("p", ("a",))],
-     "reference b lists hyper-edge p which does not list it back"),
-    ([_ref("a", "q")], [], "reference a lists hyper-edge q"),
-    ([], [HyperEdge("p", ())], "hyper-edge p is empty"),
-    ([_ref("a", "p")], [HyperEdge("p", ("a", "a"))],
-     "hyper-edge p has duplicate references"),
-    ([_ref("a", "p")], [HyperEdge("p", ("a", "z"))],
-     "hyper-edge p lists unknown/inconsistent reference z"),
-    # b lies on q, but p lists it too
-    ([_ref("a", "p"), _ref("b", "q")],
-     [HyperEdge("p", ("a", "b")), HyperEdge("q", ("b",))],
-     "hyper-edge p lists unknown/inconsistent reference b"),
+def test_hand_built_dataset_groups_references_by_edge():
+    ds = Dataset([_ref("a", "q"), _ref("b", "p"), _ref("c", "q")],
+                 {"p": {"year": "2007"}})
+    assert [(h.id, h.refs, dict(h.extra_attrs))
+            for h in ds.hyperedges.values()] == [
+        ("q", ("a", "c"), {}), ("p", ("b",), {"year": "2007"})]
+    assert ds.hyperedges["q"].extra_attrs is qer.corpus.NO_ATTRS
+
+
+@pytest.mark.parametrize("refs, edge_attrs, match", [
+    pytest.param([_ref("a", "p"), _ref("a", "q")], {},
+                 "duplicate reference id a", id="duplicate-id"),
+    pytest.param([_ref("a", "p")], {"p": {}, "q": {"year": "2007"}},
+                 "hyper-edge q has attributes but no references",
+                 id="attrs-without-refs"),
 ])
-def test_inconsistent_dataset_names_the_edge_or_reference(refs, edges,
+def test_hand_built_dataset_refusal_names_the_id_or_edge(refs, edge_attrs,
                                                           match):
-    # records cannot express these: only a hand-built dataset breaks them
+    # ingest refuses such records first, naming the record
     with pytest.raises(IngestError, match=match):
-        Dataset(refs, edges)
+        Dataset(refs, edge_attrs)
 
 
 def test_snapshot_with_a_wrong_header_is_refused(tmp_path):

@@ -8,8 +8,7 @@ import random
 
 import pytest
 
-from qer.corpus import (Dataset, HyperEdge, Reference, ingest,
-                        normalize_name)
+from qer.corpus import Dataset, Reference, ingest, normalize_name
 from qer.expansion import x_a
 from qer.rcer import block_candidates
 from qer.similarity import (SimilarityConfig, SimilarityContext,
@@ -29,8 +28,7 @@ def _text_dataset(records):
     does."""
     refs = [Reference(rid, name, normalize_name(name), pub)
             for pub, authors in records.items() for rid, name in authors]
-    return Dataset(refs, [HyperEdge(pub, tuple(rid for rid, _ in authors))
-                          for pub, authors in records.items()])
+    return Dataset(refs)
 
 
 def _text_ds(seed):

@@ -24,8 +24,9 @@ from conftest import CORPUS_RECORDS
 def test_params_validation():
     with pytest.raises(ValueError):
         ExpansionParams(d_star=-1)
-    with pytest.raises(ValueError):
-        ExpansionParams(h_max=0.5)
+    for h_max in (0.5, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="h_max"):
+            ExpansionParams(h_max=h_max)
     with pytest.raises(ValueError):
         ExpansionParams(a_max=0.0)
     assert ExpansionParams().d_star == 3

@@ -1,11 +1,8 @@
 import heapq
-import importlib.util
 import itertools
 import random
-import sys
 from collections import Counter
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +20,7 @@ from qer.rcer import (
 from qer.similarity import SimilarityConfig, SimilarityContext
 from qer import rcer, synthgen
 
-from conftest import CORPUS_RECORDS
+from conftest import CORPUS_RECORDS, bench_module
 
 
 @pytest.fixture
@@ -94,18 +91,13 @@ def _recount(ds, state, cid):
                    if state.labels[other] != cid)
 
 
-@given(st.integers(0, 9), st.lists(st.tuples(st.integers(0, 99),
-                                             st.integers(1, 99)),
-                                   max_size=25))
-@settings(max_examples=30, deadline=None)
-def test_neighbor_counters_match_recount(seed, picks):
+MERGE_PICKS = st.lists(st.tuples(st.integers(0, 99), st.integers(1, 99)),
+                       max_size=25)
+
+
+def _merge_and_recount(ds, cfg, picks):
     """After any sequence of merges, every incrementally kept neighbor
     counter equals a recount from the hyper-edges."""
-    ds = synthgen.generate(synthgen.GenParams(
-        n_entities=8, n_relationships=10, n_hyperedges=14, p_a=0.5,
-        p_c=0.5, seed=seed)).dataset
-    cfg = SimilarityConfig(alpha=0.5, epsilon=0.8, delta=0.7,
-                           merge_threshold=0.0)
     state = ClusterState(ds, SimilarityContext(ds, cfg),
                          [[r] for r in sorted(ds.references)])
     for i, step in picks:
@@ -119,6 +111,26 @@ def test_neighbor_counters_match_recount(seed, picks):
         state.merge(a, b)
         for cid in state.members:
             assert state.nbr[cid] == _recount(ds, state, cid)
+
+
+@given(st.integers(0, 9), MERGE_PICKS)
+@settings(max_examples=30, deadline=None)
+def test_neighbor_counters_match_recount(seed, picks):
+    ds = synthgen.generate(synthgen.GenParams(
+        n_entities=8, n_relationships=10, n_hyperedges=14, p_a=0.5,
+        p_c=0.5, seed=seed)).dataset
+    _merge_and_recount(ds, SimilarityConfig(
+        alpha=0.5, epsilon=0.8, delta=0.7, merge_threshold=0.0), picks)
+
+
+@given(st.integers(0, 9), MERGE_PICKS)
+@settings(max_examples=30, deadline=None)
+def test_text_neighbor_counters_match_recount(seed, picks):
+    # records of several authors, so that merged members share edges
+    ds = ingest(textgen.generate(n_entities=12, n_relationships=18,
+                                 n_pubs=10, seed=seed).records)
+    _merge_and_recount(ds, SimilarityConfig(
+        alpha=0.5, epsilon=0.9, delta=0.9, merge_threshold=0.0), picks)
 
 
 def test_run_rcer_empty_refs(corpus_ds, text_cfg):
@@ -241,17 +253,7 @@ def test_merge_log_equals_naive_oracle(seed, alpha, multiset):
         _naive_rcer(out.dataset, ref_ids, cfg)[1]
 
 
-def _bench_textgen():
-    """The benchmark's text corpus generator, ``bench/textgen.py``."""
-    path = Path(__file__).resolve().parent.parent / "bench" / "textgen.py"
-    spec = importlib.util.spec_from_file_location("textgen", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules["textgen"] = module  # where dataclasses look it up
-    spec.loader.exec_module(module)
-    return module
-
-
-textgen = _bench_textgen()
+textgen = bench_module("textgen")
 
 
 @pytest.fixture(scope="module", params=[1, 2])

@@ -83,6 +83,18 @@ def test_load_config(tmp_path):
         load_config(bad)
 
 
+@pytest.mark.parametrize("weights, attr", [
+    ("name:nan", "name"), ("name:0.5, title:nan", "title")])
+def test_load_config_refuses_a_non_finite_weight(tmp_path, weights, attr):
+    # a NaN weight made every score NaN, and a NaN score never falls
+    # below the merge threshold
+    path = tmp_path / "sim.cfg"
+    path.write_text("alpha = 0.5\nepsilon = 0.98\ndelta = 0.9\n"
+                    f"merge_threshold = 0.45\nattr_weights = {weights}\n")
+    with pytest.raises(ValueError, match=f"attribute weight '{attr}'"):
+        load_config(path)
+
+
 @pytest.mark.parametrize("line, key", [
     ("multiset_neighbourhood = true", "multiset_neighbourhood"),
     ("merge_treshold = 0.9", "merge_treshold"),
