@@ -108,10 +108,10 @@ def cmd_synth(args) -> int:
         p_c=args.p_c, p_r=args.p_r, seed=args.seed)
     out = synthgen.generate(params)
     with open(args.records_out, "w") as f:
-        for rec in out.records:
+        for rec in corpus.records_of(out.dataset):
             f.write(json.dumps(rec) + "\n")
     corpus.save_gold(out.gold, args.gold_out)
-    print(f"hyperedges: {len(out.records)}")
+    print(f"hyperedges: {len(out.dataset.hyperedges)}")
     print(f"references: {len(out.dataset.references)}")
     return 0
 

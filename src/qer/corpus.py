@@ -329,26 +329,32 @@ def ingest_file(path, name_mode: str = "text") -> Dataset:
         return ingest(_records(f), name_mode=name_mode)
 
 
+def records_of(ds: Dataset):
+    """One record per hyper-edge, in edge order, as ``ingest`` reads it:
+    ingesting them in ``ds.name_mode`` rebuilds ``ds``.  An author carries
+    its attributes only when they are not the record's own mapping."""
+    for h in ds.hyperedges.values():
+        authors = []
+        for rid in h.refs:
+            r = ds.references[rid]
+            author = {"id": rid, "name": r.name}
+            if r.extra_attrs is not h.extra_attrs:
+                author = {**r.extra_attrs, **author}
+            authors.append(author)
+        yield {"pub_id": h.id, **h.extra_attrs, "authors": authors}
+
+
 SNAPSHOT_HEADER = "qer-dataset-v2"
 
 
 def save_snapshot(ds: Dataset, path):
     """Write a header line, ``SNAPSHOT_HEADER`` and ``ds.name_mode``, then
-    one record per hyper-edge as ``ingest_file`` reads it, so that
-    ``load_snapshot`` rebuilds ``ds`` by ingesting them.  An author writes
-    its attributes only when they are not the record's own mapping."""
+    ``records_of(ds)``, one per line, so that ``load_snapshot`` rebuilds
+    ``ds`` by ingesting them."""
     with open(path, "w") as f:
         f.write(f"{SNAPSHOT_HEADER} {ds.name_mode}\n")
-        for h in ds.hyperedges.values():
-            authors = []
-            for rid in h.refs:
-                r = ds.references[rid]
-                author = {"id": rid, "name": r.name}
-                if r.extra_attrs is not h.extra_attrs:
-                    author = {**r.extra_attrs, **author}
-                authors.append(author)
-            f.write(json.dumps({"pub_id": h.id, **h.extra_attrs,
-                                "authors": authors}) + "\n")
+        for rec in records_of(ds):
+            f.write(json.dumps(rec) + "\n")
 
 
 def load_snapshot(path) -> Dataset:

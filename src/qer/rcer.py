@@ -81,7 +81,7 @@ class RcerResult:
     merge_log: list[tuple]  # (sim, c1, c2, new_id)
     stopped_reason: str
     merge_threshold: float  # the log is complete down to this similarity
-    initial_clusters: list[tuple] = field(default_factory=list)  # (id, members)
+    initial_clusters: list[tuple] = field(default_factory=list)  # (id, frozenset)
     heap_pushes: int = 0  # merge-loop counters
     stale_pops: int = 0  # popped entries of retired clusters or old scores
 
@@ -169,8 +169,8 @@ def run_rcer(ds: Dataset, refs, cfg: SimilarityConfig,
         raise ValueError("no references to cluster")
     ctx = SimilarityContext(ds, cfg)
     state = ClusterState(ds, ctx, bootstrap(ds, ref_ids, premerge))
-    initial_snapshot = [(cid, tuple(sorted(state.members[cid])))
-                        for cid in sorted(state.members)]
+    initial = [(cid, frozenset(state.members[cid]))
+               for cid in sorted(state.members)]
 
     cand: dict[int, set[int]] = {cid: set() for cid in state.members}
     for pair in block_candidates(ds, ref_ids, ctx):
@@ -229,13 +229,17 @@ def run_rcer(ds: Dataset, refs, cfg: SimilarityConfig,
                 elif ck in lost and cn != new:
                     push(ck, cn)
 
-    clusters = [frozenset(state.members[cid]) for cid in sorted(state.members)]
+    # a cluster no merge touched keeps its id, below len(initial), and
+    # shares its initial frozenset
+    clusters = [initial[cid][1] if cid < len(initial)
+                else frozenset(state.members[cid])
+                for cid in sorted(state.members)]
     return RcerResult(
         clusters=clusters,
         merge_log=merge_log,
         stopped_reason=stopped_reason,
         merge_threshold=cfg.merge_threshold,
-        initial_clusters=initial_snapshot,
+        initial_clusters=initial,
         heap_pushes=sum(version.values()),  # each push bumps one version
         stale_pops=stale_pops,
     )
@@ -250,13 +254,15 @@ def check_replayable(result: RcerResult, threshold: float):
             f"recorded at {result.merge_threshold}")
 
 
-def partition_at_threshold(result: RcerResult, threshold: float) -> list[set[str]]:
+def partition_at_threshold(result: RcerResult,
+                           threshold: float) -> list[frozenset]:
     """Replay the merge log, stopping at the first merge whose extraction
     similarity falls below ``threshold``.  Equivalent to a fresh run at that
     threshold, since the threshold only controls when the loop stops
-    (within ``check_replayable``'s bound)."""
+    (within ``check_replayable``'s bound).  Only merged clusters are new
+    objects: every other one is its frozenset in ``initial_clusters``."""
     check_replayable(result, threshold)
-    members = {cid: set(m) for cid, m in result.initial_clusters}
+    members = {cid: frozenset(m) for cid, m in result.initial_clusters}
     for sim, c1, c2, new in result.merge_log:
         if sim < threshold:
             break

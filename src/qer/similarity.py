@@ -317,9 +317,10 @@ def load_config(path) -> SimilarityConfig:
     """Read a key = value configuration file.
 
     Mandatory scalars: alpha, epsilon, delta, merge_threshold, plus
-    attr_weights given as "attr:weight" pairs separated by commas; the
-    optional multiset_neighborhood is one of the ``BOOLEANS``.  Any other
-    key raises ``ValueError``.
+    attr_weights given as "attr:weight" pairs separated by commas, each
+    attribute once; the optional multiset_neighborhood is one of the
+    ``BOOLEANS``.  Any other key, or a malformed or repeated attr_weights
+    entry, raises ``ValueError``.
     """
     raw: dict[str, str] = {}
     with open(path) as f:
@@ -340,10 +341,20 @@ def load_config(path) -> SimilarityConfig:
     if multiset not in BOOLEANS:
         raise ValueError(f"config key 'multiset_neighborhood': {multiset!r} "
                          "is not a boolean")
-    weights = {}
-    for part in raw["attr_weights"].split(","):
-        attr, w = part.split(":")
-        weights[attr.strip()] = float(w)
+    weights: dict[str, float] = {}
+    for entry in raw["attr_weights"].split(","):
+        attr, _, w = (part.strip() for part in entry.partition(":"))
+        try:
+            weight = float(w)  # w is "" when the entry has no colon
+        except ValueError:
+            weight = None
+        if not attr or weight is None:
+            raise ValueError(f"config key 'attr_weights': entry "
+                             f"{entry.strip()!r} is not attr:weight")
+        if attr in weights:
+            raise ValueError(f"config key 'attr_weights': attribute {attr!r} "
+                             "is given twice")
+        weights[attr] = weight
     return SimilarityConfig(
         alpha=float(raw["alpha"]),
         epsilon=float(raw["epsilon"]),

@@ -20,7 +20,7 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from itertools import accumulate
 
-from .corpus import Dataset, GoldLabeling, ingest
+from .corpus import Dataset, GoldLabeling, ingest, records_of
 
 OCCUPIED_HALF_WIDTH = 3.0
 FRESH_GRID_SPACING = 7.0
@@ -84,7 +84,12 @@ class SyntheticOutput:
     dataset: Dataset
     gold: GoldLabeling
     world: SyntheticWorld
-    records: list[dict]
+
+    @property
+    def records(self) -> list[dict]:
+        """The records ``dataset`` was ingested from, rendered from it by
+        ``corpus.records_of`` on each read: the corpus is stored once."""
+        return list(records_of(self.dataset))
 
 
 def create_entities(params: GenParams, rng: random.Random) -> SyntheticWorld:
@@ -219,32 +224,33 @@ def add_relationships(world: SyntheticWorld, params: GenParams,
 
 def generate_hyperedges(world: SyntheticWorld, params: GenParams,
                         rng: random.Random) -> SyntheticOutput:
-    records: list[dict] = []
     gold: dict[str, str] = {}
-    for i in range(params.n_hyperedges):
-        initiator = rng.choice(world.entities)
-        members = [initiator.id]
-        remaining_nbrs = sorted(initiator.nbrs)
-        rng.shuffle(remaining_nbrs)
-        while rng.random() < params.p_c:
-            if not remaining_nbrs:
-                break
-            if params.p_r < 1.0 and rng.random() >= params.p_r:
-                # extension draw not directed at a neighbor; the edge ends
-                break
-            members.append(remaining_nbrs.pop())
-        pub_id = f"p{i}"
-        authors = []
-        for j, eid in enumerate(members):
-            e = world.entity(eid)
-            value = f"{rng.gauss(e.x, 1.0):.{VALUE_DECIMALS}f}"
-            rid = f"{pub_id}:{j}"
-            authors.append({"id": rid, "name": value})
-            gold[rid] = eid
-        records.append({"pub_id": pub_id, "authors": authors})
-    ds = ingest(records, name_mode="numeric")
-    return SyntheticOutput(dataset=ds, gold=GoldLabeling(gold),
-                           world=world, records=records)
+
+    def records():  # drawn as ingest reads them; no list of them is kept
+        for i in range(params.n_hyperedges):
+            initiator = rng.choice(world.entities)
+            members = [initiator.id]
+            remaining_nbrs = sorted(initiator.nbrs)
+            rng.shuffle(remaining_nbrs)
+            while rng.random() < params.p_c:
+                if not remaining_nbrs:
+                    break
+                if params.p_r < 1.0 and rng.random() >= params.p_r:
+                    # extension draw not directed at a neighbor; the edge ends
+                    break
+                members.append(remaining_nbrs.pop())
+            pub_id = f"p{i}"
+            authors = []
+            for j, eid in enumerate(members):
+                e = world.entity(eid)
+                value = f"{rng.gauss(e.x, 1.0):.{VALUE_DECIMALS}f}"
+                rid = f"{pub_id}:{j}"
+                authors.append({"id": rid, "name": value})
+                gold[rid] = eid
+            yield {"pub_id": pub_id, "authors": authors}
+
+    ds = ingest(records(), name_mode="numeric")
+    return SyntheticOutput(dataset=ds, gold=GoldLabeling(gold), world=world)
 
 
 def generate(params: GenParams) -> SyntheticOutput:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import replace
 
@@ -99,6 +100,22 @@ def test_synth_roundtrip(tmp_path, capsys):
     assert len(ds.hyperedges) == 50
 
 
+def test_synth_bytes_pinned(tmp_path, capsys):
+    """``qer synth`` writes the records and gold lines it wrote when the
+    generator also kept a list of its records, byte for byte."""
+    records, gold = tmp_path / "synth.jsonl", tmp_path / "synth_gold.txt"
+    assert main(["synth", "--entities", "100", "--relationships", "200",
+                 "--hyperedges", "500", "--p-a", "0.5", "--p-r-a", "0.3",
+                 "--p-c", "0.5", "--p-r", "0.5", "--seed", "4",
+                 "--records-out", str(records),
+                 "--gold-out", str(gold)]) == 0
+    assert capsys.readouterr().out == "hyperedges: 500\nreferences: 655\n"
+    assert hashlib.sha256(records.read_bytes()).hexdigest() == (
+        "a22f6cdc2c3475040c41db3e1eeb3603be752e0af24bb3bf8536edc13618d9c4")
+    assert hashlib.sha256(gold.read_bytes()).hexdigest() == (
+        "9ada643462c60b99622ec44a1982ca84bb58a0d43c5b33b42ae0f14e40b5f6a4")
+
+
 def test_synth_seed_is_the_subcommand_option(tmp_path, capsys):
     def synth(*argv):
         records = tmp_path / "synth.jsonl"
@@ -125,6 +142,20 @@ def test_config_with_an_unread_line_exits_2(records_file, gold_file,
                "--gold", gold_file])
     assert rc == 2
     assert line.split(" =")[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("weights, entry", [
+    ("name", "'name'"), ("name:x", "'name:x'"), ("name:0.0, name:1.0", "'name'")])
+def test_config_with_a_bad_attr_weights_entry_exits_2(records_file, tmp_path,
+                                                      capsys, weights, entry):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("alpha = 0.5\nepsilon = 0.98\ndelta = 0.9\n"
+                   f"merge_threshold = 0.5\nattr_weights = {weights}\n")
+    rc = main(["--config", str(cfg), "query", "W. Wang",
+               "--records", records_file])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "attr_weights" in err and entry in err, err
 
 
 def test_eval_row_format(records_file, gold_file, capsys):

@@ -95,6 +95,21 @@ def test_load_config_refuses_a_non_finite_weight(tmp_path, weights, attr):
         load_config(path)
 
 
+@pytest.mark.parametrize("weights, match", [
+    ("name", "entry 'name' is not attr:weight"),
+    ("name:x", "entry 'name:x' is not attr:weight"),
+    ("name:0.5, :0.5", "entry ':0.5' is not attr:weight"),
+    ("name:0.5, title:0.2:0.3", "entry 'title:0.2:0.3' is not attr:weight"),
+    ("name:0.0, name:1.0", "attribute 'name' is given twice"),
+])
+def test_load_config_names_a_bad_attr_weights_entry(tmp_path, weights, match):
+    path = tmp_path / "sim.cfg"
+    path.write_text("alpha = 0.5\nepsilon = 0.98\ndelta = 0.9\n"
+                    f"merge_threshold = 0.45\nattr_weights = {weights}\n")
+    with pytest.raises(ValueError, match=f"'attr_weights': {match}"):
+        load_config(path)
+
+
 @pytest.mark.parametrize("line, key", [
     ("multiset_neighbourhood = true", "multiset_neighbourhood"),
     ("merge_treshold = 0.9", "merge_treshold"),

@@ -1,11 +1,14 @@
+import gc
 import hashlib
 import json
 import random
 import statistics
+import tracemalloc
 
 import pytest
 
 from qer.analysis import estimate_relational_probs
+from qer.corpus import ingest
 from qer.similarity import SimilarityConfig
 from qer.synthgen import (
     GenParams,
@@ -184,6 +187,38 @@ def test_output_pinned(p_r_a, digest):
 ], ids=["criterion-5", "p_r-half", "800-entities"])
 def test_more_shapes_pinned(params, digest):
     assert _digest(generate(params)) == digest
+
+
+BENCH_SHAPE = GenParams(n_entities=400, n_relationships=800,
+                        n_hyperedges=2000, p_a=0.1, p_r_a=0.3, p_c=0.5,
+                        p_r=1.0, seed=1000)
+
+
+def test_records_rebuild_the_dataset():
+    out = generate(BENCH_SHAPE)
+    again = ingest(out.records, name_mode="numeric")
+    assert [(r.id, r.name, r.norm_name, r.edge, dict(r.extra_attrs))
+            for r in again.references.values()] == \
+        [(r.id, r.name, r.norm_name, r.edge, dict(r.extra_attrs))
+         for r in out.dataset.references.values()]
+    assert again.hyperedges == out.dataset.hyperedges
+    assert again.name_index == out.dataset.name_index
+
+
+def test_generate_keeps_one_copy_of_the_corpus():
+    # resident bytes per reference of a generated corpus, its world
+    # included: 491 B on CPython 3.11 (826 B while the output also held
+    # the records it was ingested from)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = generate(BENCH_SHAPE)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained / len(out.dataset) < 600, retained / len(out.dataset)
 
 
 @pytest.mark.parametrize("p_a, digest", [
