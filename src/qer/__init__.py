@@ -1,7 +1,6 @@
 """Query-time entity resolution over co-occurrence graphs."""
 
-from .corpus import (Dataset, GoldLabeling, HyperEdge, Query, Reference,
-                     ingest, ingest_file)
+from .corpus import Dataset, GoldLabeling, Query, Reference, ingest, ingest_file
 from .similarity import SimilarityConfig, SimilarityContext
 from .rcer import Answer, RcerResult, resolve, run_rcer
 from .expansion import AmbiguityEstimator, ExpansionParams, RelevantSet, build_relevant_set
@@ -13,7 +12,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AmbiguityEstimator", "Answer", "Dataset", "ExpansionParams",
-    "GenParams", "GoldLabeling", "HyperEdge", "PairwiseMetrics", "Query",
+    "GenParams", "GoldLabeling", "PairwiseMetrics", "Query",
     "RcerResult", "Reference", "RelevantSet", "SimilarityConfig",
     "SimilarityContext", "StructuralProbs", "build_relevant_set",
     "closed_form_gp", "generate", "ingest", "ingest_file", "pairwise_metrics",

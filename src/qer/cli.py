@@ -138,6 +138,8 @@ def cmd_analyze(args) -> int:
     if args.closed_form:
         print(f"{analysis.closed_form_gp(args.a, args.r, args.n):.5f}")
         return 0
+    if not args.gold:
+        raise ValueError("analyze requires --gold, or --closed-form")
     ds = _load_dataset(args)
     cfg = _load_cfg(args)
     gold = corpus.load_gold(args.gold)
@@ -215,7 +217,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (corpus.IngestError, ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:  # IngestError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -112,13 +112,6 @@ class Reference:
     extra_attrs: Mapping[str, str] = field(default_factory=lambda: NO_ATTRS)
 
 
-@dataclass(slots=True)
-class HyperEdge:
-    id: str
-    refs: tuple[str, ...]
-    extra_attrs: Mapping[str, str] = field(default_factory=lambda: NO_ATTRS)
-
-
 @dataclass
 class GoldLabeling:
     assignments: dict[str, str]
@@ -133,51 +126,52 @@ class GoldLabeling:
 class Dataset:
     """Immutable after construction; safe for concurrent readers.
 
-    ``Dataset(refs)`` builds one hyper-edge per ``Reference.edge``, listing
-    its references in reference order.  ``edge_attrs`` maps an edge id to
-    its record's read-only attribute mapping; other edges get ``NO_ATTRS``.
-    ``ingest`` gives that mapping to every author without attributes of its
-    own.  A duplicate reference id, or attributes for an edge without
-    references, raise ``IngestError``.  ``name_mode`` is one of
-    ``NAME_MODES``.  ``name_index`` maps each normalized name to the tuple
-    of its reference ids, in reference order.  ``name_buckets`` and
-    ``corpus_stats`` are built on first use, not at ingest; two concurrent
-    first readers may both compute the same value.
+    ``Dataset(refs)`` maps each ``Reference.edge`` to the tuple of its
+    reference ids, in reference order (``hyperedges``).  ``edge_attrs``
+    maps an edge id to its record's read-only attribute mapping; the
+    dataset keeps the non-empty ones, and ``ingest`` gives that mapping to
+    every author without attributes of its own.  A duplicate reference
+    id, attributes for an edge without references, or a numeric-mode name
+    that is not a finite number raise ``IngestError``.  ``name_mode`` is
+    one of ``NAME_MODES``.  ``name_index``, ``name_buckets`` and
+    ``corpus_stats`` are built on first use, not at ingest; two
+    concurrent first readers may both compute the same value.
     """
 
     def __init__(self, references, edge_attrs: Mapping = NO_ATTRS,
                  name_mode: str = "text"):
         if name_mode not in NAME_MODES:
             raise IngestError(f"unknown name_mode {name_mode!r}")
+        numeric = name_mode == "numeric"
         self.references: dict[str, Reference] = {}
-        members: dict[str, list[str]] = {}
+        members: dict = {}
         for r in references:
             if r.id in self.references:
                 raise IngestError(f"duplicate reference id {r.id}")
+            if numeric:
+                try:
+                    finite_number(r.norm_name)
+                except ValueError as e:
+                    raise IngestError(f"reference {r.id}: {e}") from None
             self.references[r.id] = r
             members.setdefault(r.edge, []).append(r.id)
         for e in edge_attrs:
             if e not in members:
                 raise IngestError(f"hyper-edge {e} has attributes but no "
                                   "references")
-        self.hyperedges: dict[str, HyperEdge] = {
-            e: HyperEdge(e, tuple(ids), edge_attrs.get(e, NO_ATTRS))
-            for e, ids in members.items()}
+        for e, ids in members.items():  # in place: one dict at the peak
+            members[e] = tuple(ids)
+        self.hyperedges: dict[str, tuple[str, ...]] = members
+        self.edge_attrs = {e: a for e, a in edge_attrs.items() if a}
         self.name_mode = name_mode
-        self.name_index: dict[str, tuple[str, ...]] = self._name_index()
 
-    def _name_index(self) -> dict[str, tuple[str, ...]]:
-        """Numeric mode refuses a non-finite name, naming its first ref."""
+    @cached_property
+    def name_index(self) -> dict[str, tuple[str, ...]]:
+        """Each normalized name -> its reference ids, in reference order."""
         ids: dict = {}
         for r in self.references.values():
             ids.setdefault(r.norm_name, []).append(r.id)
-        numeric = self.name_mode == "numeric"
         for n, group in ids.items():  # in place: one dict at the peak
-            if numeric:
-                try:
-                    finite_number(n)
-                except ValueError as e:
-                    raise IngestError(f"reference {group[0]}: {e}") from None
             ids[n] = tuple(group)
         return ids
 
@@ -193,7 +187,7 @@ class Dataset:
 
     def cooccurrences(self, rid: str):
         """The id of each other reference on the reference's hyper-edge."""
-        for other in self.hyperedges[self.references[rid].edge].refs:
+        for other in self.hyperedges[self.references[rid].edge]:
             if other != rid:
                 yield other
 
@@ -333,15 +327,16 @@ def records_of(ds: Dataset):
     """One record per hyper-edge, in edge order, as ``ingest`` reads it:
     ingesting them in ``ds.name_mode`` rebuilds ``ds``.  An author carries
     its attributes only when they are not the record's own mapping."""
-    for h in ds.hyperedges.values():
+    for e, ids in ds.hyperedges.items():
+        attrs = ds.edge_attrs.get(e, NO_ATTRS)
         authors = []
-        for rid in h.refs:
+        for rid in ids:
             r = ds.references[rid]
             author = {"id": rid, "name": r.name}
-            if r.extra_attrs is not h.extra_attrs:
+            if r.extra_attrs is not attrs:
                 author = {**r.extra_attrs, **author}
             authors.append(author)
-        yield {"pub_id": h.id, **h.extra_attrs, "authors": authors}
+        yield {"pub_id": e, **attrs, "authors": authors}
 
 
 SNAPSHOT_HEADER = "qer-dataset-v2"

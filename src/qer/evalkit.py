@@ -163,19 +163,18 @@ def replay_sweep(result: RcerResult, thresholds, gold: GoldLabeling, scope
 
 
 def baseline_scores(kind: str, ds: Dataset, refs, ctx: SimilarityContext
-                    ) -> dict[frozenset, float]:
-    """Score of each blocked reference pair: its attribute similarity for
-    the A baselines, mixed with ``_nr_relational_term`` by alpha for NR."""
+                    ) -> dict[tuple[str, str], float]:
+    """Score of each blocked id pair: its attribute similarity for the A
+    baselines, mixed with ``_nr_relational_term`` by alpha for NR."""
     nr = kind.startswith("NR")
     alpha = ctx.cfg.alpha
     scores = {}
-    for pair in block_candidates(ds, refs, ctx):
-        a, b = tuple(pair)
+    for a, b in block_candidates(ds, refs, ctx):
         score = ctx.ref_attribute_sim(a, b)
         if nr:
             score = ((1 - alpha) * score
                      + alpha * _nr_relational_term(ds, ctx, a, b))
-        scores[pair] = score
+        scores[a, b] = score
     return scores
 
 

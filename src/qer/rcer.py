@@ -28,6 +28,7 @@ import heapq
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .corpus import Dataset, Query, name_buckets
 from .expansion import ExpansionParams, RelevantSet, build_relevant_set
@@ -39,20 +40,24 @@ from .similarity import (
 )
 
 
-def block_candidates(ds: Dataset, refs, ctx: SimilarityContext) -> set[frozenset]:
-    """Unordered reference-id pairs whose names pass the liberal (delta)
-    rule, found with ``similarity.delta_neighbours`` among the names of
-    the given reference ids."""
+def block_candidates(ds: Dataset, refs, ctx: SimilarityContext
+                     ) -> list[tuple[str, str]]:
+    """Each unordered pair of the given reference ids whose names pass the
+    liberal (delta) rule once, as (smaller id, larger id), found with
+    ``similarity.delta_neighbours``.  The list's order does not depend on
+    the order of ``refs``."""
     by_name: dict[str, list[str]] = {}
-    for rid in refs:
+    for rid in sorted(refs):
         by_name.setdefault(ds.references[rid].norm_name, []).append(rid)
     buckets = name_buckets(by_name, ctx.numeric)
-    pairs: set[frozenset] = set()
+    pairs: list[tuple[str, str]] = []
     for n1, ids1 in by_name.items():
         for n2 in delta_neighbours(n1, buckets, ctx.numeric, ctx.cfg.delta):
-            if n2 >= n1:  # each pair of names once
-                pairs.update(frozenset((a, b)) for a in ids1
-                             for b in by_name[n2] if a != b)
+            if n2 == n1:  # ids1 is sorted
+                pairs.extend(combinations(ids1, 2))
+            elif n2 > n1:  # each pair of names once
+                pairs.extend((a, b) if a < b else (b, a)
+                             for a in ids1 for b in by_name[n2])
     return pairs
 
 
@@ -173,8 +178,7 @@ def run_rcer(ds: Dataset, refs, cfg: SimilarityConfig,
                for cid in sorted(state.members)]
 
     cand: dict[int, set[int]] = {cid: set() for cid in state.members}
-    for pair in block_candidates(ds, ref_ids, ctx):
-        a, b = tuple(pair)
+    for a, b in block_candidates(ds, ref_ids, ctx):
         ca, cb = state.labels[a], state.labels[b]
         if ca != cb:
             cand[ca].add(cb)

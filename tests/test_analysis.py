@@ -66,10 +66,10 @@ def _brute_force_relational(ds, gold, cfg):
 
     def witness(r1, r2, same_entity):
         h1, h2 = ds.references[r1].edge, ds.references[r2].edge
-        for p1 in ds.hyperedges[h1].refs:
+        for p1 in ds.hyperedges[h1]:
             if p1 == r1:
                 continue
-            for p2 in ds.hyperedges[h2].refs:
+            for p2 in ds.hyperedges[h2]:
                 if p2 == r2 or (p1 == p2 and h1 == h2):
                     continue
                 same = gold.entity_of(p1) == gold.entity_of(p2)

@@ -256,6 +256,24 @@ def test_analyze_table(records_file, gold_file, capsys):
     assert capsys.readouterr().out.strip()
 
 
+def test_analyze_without_gold_exits_2(records_file, capsys):
+    assert main(["analyze", "--records", records_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: analyze requires --gold, or --closed-form\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["ingest", "{dir}"], ["query", "W. Wang", "--records", "{dir}"],
+    ["query", "W. Wang", "--dataset", "{dir}"],
+    ["ingest", "{records}", "--dataset", "{dir}"]])
+def test_directory_for_a_file_exits_2(records_file, tmp_path, command,
+                                      capsys):
+    argv = [a.format(dir=tmp_path, records=records_file) for a in command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: [Errno 21] Is a "
+                                              "directory")
+
+
 def test_missing_records_file(capsys):
     assert main(["ingest", "/nonexistent/records.jsonl"]) == 2
 

@@ -70,7 +70,7 @@ def test_name_parts():
 def test_ingest_structure(corpus_ds):
     assert len(corpus_ds.references) == 10
     assert len(corpus_ds.hyperedges) == 4
-    assert corpus_ds.hyperedges["h1"].refs == ("r1", "r2", "r3")
+    assert corpus_ds.hyperedges["h1"] == ("r1", "r2", "r3")
     assert corpus_ds.references["r9"].norm_name == "w w wang"
     assert corpus_ds.references["r4"].edge == "h2"
 
@@ -367,10 +367,11 @@ def _layout(ds):
     refs = [(r.id, r.name, r.norm_name, r.norm_name is r.name,
              list(r.extra_attrs.items()), r.edge)
             for r in ds.references.values()]
-    edges = [(h.id, h.refs, list(h.extra_attrs.items()))
-             for h in ds.hyperedges.values()]
-    objects = [r.extra_attrs for r in ds.references.values()]
-    objects += [h.extra_attrs for h in ds.hyperedges.values()]
+    edge_attrs = [ds.edge_attrs.get(e, qer.corpus.NO_ATTRS)
+                  for e in ds.hyperedges]
+    edges = [(e, ids, list(attrs.items()))
+             for (e, ids), attrs in zip(ds.hyperedges.items(), edge_attrs)]
+    objects = [r.extra_attrs for r in ds.references.values()] + edge_attrs
     return (ds.name_mode, refs, edges, ds.name_index,
             len({id(x) for x in objects}))
 
@@ -407,15 +408,17 @@ def test_snapshot_round_trip_of_each_built_dataset(tmp_path, how):
 
 
 def test_storage_layout(tmp_path):
-    # however a dataset is built: slotted records, each author's edge the
-    # record's own id string, the one empty mapping for every reference
-    # and edge without attributes, and name_index tuples in reference order
+    # however a dataset is built: slotted references, each edge a tuple
+    # keyed by the record's own id string, which its authors share, the
+    # one empty mapping for every reference without attributes, no mapping
+    # kept for an edge without them, and name_index tuples in reference
+    # order
     for how, ds in _built_datasets(tmp_path).items():
-        for h in ds.hyperedges.values():
-            assert not hasattr(h, "__dict__"), how
-            assert h.extra_attrs is qer.corpus.NO_ATTRS, how
-            for rid in h.refs:
-                assert ds.references[rid].edge is h.id, (how, rid)
+        assert ds.edge_attrs == {}, how
+        for e, ids in ds.hyperedges.items():
+            assert type(ids) is tuple, how
+            for rid in ids:
+                assert ds.references[rid].edge is e, (how, rid)
         for r in ds.references.values():
             assert not hasattr(r, "__dict__"), how
             assert r.extra_attrs is qer.corpus.NO_ATTRS, how
@@ -436,24 +439,25 @@ def test_extra_attrs_are_shared_read_only_mappings(tmp_path):
     save_snapshot(ingested, path)
     for how, ds in (("ingest", ingested),
                     ("load_snapshot", load_snapshot(path))):
-        refs, edge = ds.references, ds.hyperedges["p"]
+        refs, edge_attrs = ds.references, ds.edge_attrs["p"]
         a, b, c = refs["p:0"], refs["b"], refs["c"]
         # authors without attributes of their own share the record's mapping
-        assert a.extra_attrs is b.extra_attrs is edge.extra_attrs, how
-        assert dict(edge.extra_attrs) == {"year": "2007", "venue": "kdd"}
+        assert a.extra_attrs is b.extra_attrs is edge_attrs, how
+        assert dict(edge_attrs) == {"year": "2007", "venue": "kdd"}
         # the author's own keys first (they win), then the record's it lacks
         assert list(c.extra_attrs.items()) == [
             ("affil", "umd"), ("year", "2008"), ("venue", "kdd")], how
         for attrs in (a.extra_attrs, c.extra_attrs):
             with pytest.raises(TypeError):
                 attrs["venue"] = "icde"
-        assert a.edge is b.edge is c.edge is edge.id, how
+        assert a.edge is b.edge is c.edge is next(iter(ds.hyperedges)), how
 
 
-def test_ingest_retains_under_450_bytes_per_reference():
-    # the resident cost of a loaded corpus, counted by tracemalloc: 245 B
-    # per reference on CPython 3.11 (764 B with a mutable hyper-edge set
-    # and an attribute dict per reference and a set per name)
+def test_ingest_retains_under_180_bytes_per_reference():
+    # the resident cost of a loaded corpus, counted by tracemalloc: 144 B
+    # per reference on CPython 3.11 (245 B with a HyperEdge object per
+    # edge and name_index built at ingest; 764 B with a mutable hyper-edge
+    # set and an attribute dict per reference and a set per name)
     records = synthgen.generate(synthgen.GenParams(
         n_entities=400, n_relationships=800, n_hyperedges=2000, p_a=0.1,
         p_r_a=0.3, p_c=0.5, p_r=1.0, seed=1000)).records
@@ -466,7 +470,7 @@ def test_ingest_retains_under_450_bytes_per_reference():
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert retained / len(ds) < 450, retained / len(ds)
+    assert retained / len(ds) < 180, retained / len(ds)
 
 
 def test_reference_repr_hides_norm_name():
@@ -483,10 +487,10 @@ def _ref(rid, edge):
 def test_hand_built_dataset_groups_references_by_edge():
     ds = Dataset([_ref("a", "q"), _ref("b", "p"), _ref("c", "q")],
                  {"p": {"year": "2007"}})
-    assert [(h.id, h.refs, dict(h.extra_attrs))
-            for h in ds.hyperedges.values()] == [
-        ("q", ("a", "c"), {}), ("p", ("b",), {"year": "2007"})]
-    assert ds.hyperedges["q"].extra_attrs is qer.corpus.NO_ATTRS
+    assert list(ds.hyperedges.items()) == [("q", ("a", "c")), ("p", ("b",))]
+    assert ds.edge_attrs == {"p": {"year": "2007"}}
+    # an empty mapping is not kept
+    assert Dataset([_ref("a", "q")], {"q": {}}).edge_attrs == {}
 
 
 @pytest.mark.parametrize("refs, edge_attrs, match", [

@@ -79,14 +79,16 @@ def test_block_candidates_equal_brute_force_scan(ds, delta):
             itertools.combinations(ds.references.values(), 2)
             if delta_similar_names(r1.norm_name, r2.norm_name, numeric,
                                    delta)}
-    assert block_candidates(ds, ds.references, ctx) == want
+    pairs = block_candidates(ds, ds.references, ctx)
+    assert {frozenset(p) for p in pairs} == want
+    assert len(pairs) == len(want)  # each pair once
 
 
 def test_empty_names_are_not_candidates():
     ds = _text_dataset({"p": [("a", "."), ("b", "..")]})
     ctx = SimilarityContext(ds, SimilarityConfig(
         alpha=0.5, epsilon=0.9, delta=0.9, merge_threshold=0.5))
-    assert block_candidates(ds, ds.references, ctx) == set()
+    assert block_candidates(ds, ds.references, ctx) == []
     assert x_a(ds, ".") == {"a", "b"}  # exact matches stay at level 0
 
 
@@ -103,7 +105,7 @@ def test_rule_and_blocking_agree_at_the_boundary():
     ctx = SimilarityContext(ds, SimilarityConfig(
         alpha=0.5, epsilon=0.8, delta=0.7, merge_threshold=0.3))
     accepted = delta_similar_names("30.2", "32.0", True, 0.7)
-    assert (frozenset(("r0", "r1")) in block_candidates(
+    assert (("r0", "r1") in block_candidates(
         ds, ds.references, ctx)) == accepted
     assert ({"r0", "r1"} == x_a(ds, "30.2", 0.7)) == accepted
 

@@ -125,7 +125,7 @@ def test_baseline_a_threshold_extremes(corpus_ds, corpus_gold, ctx):
     from qer.rcer import block_candidates
     blocked = block_candidates(corpus_ds, refs, ctx)
     scores = baseline_scores("A", corpus_ds, refs, ctx)
-    assert set(scores) == blocked
+    assert list(scores) == blocked
     assert all(0.0 <= s <= 1.0 for s in scores.values())
     at_zero = evaluate_baseline("A", corpus_ds, refs, ctx.cfg, 0.0,
                                 corpus_gold)
@@ -139,8 +139,8 @@ def test_baseline_a_threshold_extremes(corpus_ds, corpus_gold, ctx):
 
 def test_baseline_a_wang_pairs(corpus_ds, ctx):
     refs = set(corpus_ds.references)
-    accepted = {p for p, s in baseline_scores("A", corpus_ds, refs,
-                                              ctx).items()
+    accepted = {frozenset(p) for p, s in baseline_scores("A", corpus_ds, refs,
+                                                         ctx).items()
                 if s >= ctx.cfg.epsilon}
     wangs = {"r1", "r4", "r8", "r9"}
     wang_accepted = {p for p in accepted if p <= wangs}
@@ -174,8 +174,7 @@ def test_nr_without_relations_reduces_to_attribute_term():
                            merge_threshold=0.5)
     ctx = SimilarityContext(ds, cfg)
     # (1-alpha)*1.0 = 0.5, relational term is 0; acceptance is inclusive
-    assert baseline_scores("NR", ds, {"a", "b"}, ctx) == \
-        {frozenset(("a", "b")): 0.5}
+    assert baseline_scores("NR", ds, {"a", "b"}, ctx) == {("a", "b"): 0.5}
     gold = GoldLabeling({"a": "e", "b": "e"})
     at = evaluate_baseline("NR", ds, {"a", "b"}, cfg, 0.5, gold)
     assert (at.tp, at.fp, at.fn) == (1, 0, 0)
@@ -425,6 +424,19 @@ def test_sweeps_check_gold_before_clustering(corpus_ds, text_cfg,
             threshold_sweep(kind, corpus_ds, refs, text_cfg, [0.5], partial)
     with pytest.raises(ValueError, match="gold labeling does not cover"):
         rcer_threshold_sweep(corpus_ds, refs, text_cfg, [0.5], partial)
+
+
+def test_whole_corpus_sweep_does_not_build_the_name_index():
+    # the bench's numeric corpus and sweep read no name -> ids index
+    from qer.cli import SWEEP
+    out = synthgen.generate(synthgen.GenParams(
+        n_entities=400, n_relationships=800, n_hyperedges=2000, p_a=0.1,
+        p_r_a=0.3, p_c=0.5, p_r=1.0, seed=1000))
+    rcer_threshold_sweep(out.dataset, out.dataset.references,
+                         SimilarityConfig(alpha=0.5, epsilon=0.9, delta=0.7,
+                                          merge_threshold=0.0),
+                         SWEEP, out.gold)
+    assert "name_index" not in out.dataset.__dict__
 
 
 def test_query_level_sweep_without_match(corpus_ds, corpus_gold, text_cfg):

@@ -31,16 +31,21 @@ def ctx(corpus_ds, text_cfg):
     return SimilarityContext(corpus_ds, text_cfg)
 
 
+def _blocked(ds, refs, ctx):
+    """``block_candidates`` as a set of unordered pairs."""
+    return {frozenset(p) for p in block_candidates(ds, refs, ctx)}
+
+
 def test_block_candidates_wang_pairs(corpus_ds, ctx):
     wangs = {"r1", "r4", "r8", "r9"}
-    pairs = block_candidates(corpus_ds, corpus_ds.references, ctx)
+    pairs = _blocked(corpus_ds, corpus_ds.references, ctx)
     wang_pairs = {p for p in pairs if p <= wangs}
     assert wang_pairs == {frozenset(p) for p in itertools.combinations(sorted(wangs), 2)}
     assert frozenset(("r1", "r6")) not in pairs  # W. Wang vs L. Li
 
 
 def test_block_candidates_single_ref(corpus_ds, ctx):
-    assert block_candidates(corpus_ds, {"r1"}, ctx) == set()
+    assert _blocked(corpus_ds, {"r1"}, ctx) == set()
 
 
 def test_block_candidates_numeric_window():
@@ -49,8 +54,26 @@ def test_block_candidates_numeric_window():
         {"id": "c", "name": "30.0"}]}], name_mode="numeric")
     cfg = SimilarityConfig(alpha=0.5, epsilon=0.8, delta=0.7,
                            merge_threshold=0.3)
-    pairs = block_candidates(ds, ds.references, SimilarityContext(ds, cfg))
+    pairs = _blocked(ds, ds.references, SimilarityContext(ds, cfg))
     assert pairs == {frozenset(("a", "b"))}
+
+
+def test_block_candidates_lists_each_pair_once_in_id_order(corpus_ds, ctx):
+    # same-name and cross-name pairs, text and numeric, refs in any order
+    numeric = synthgen.generate(synthgen.GenParams(
+        n_entities=40, n_relationships=80, n_hyperedges=150, p_a=0.5,
+        seed=3)).dataset
+    for ds, c in ((corpus_ds, ctx), (numeric, SimilarityContext(
+            numeric, SimilarityConfig(alpha=0.5, epsilon=0.9, delta=0.7,
+                                      merge_threshold=0.5)))):
+        ids = list(ds.references)
+        pairs = block_candidates(ds, ids, c)
+        assert pairs and all(type(p) is tuple and len(p) == 2 and p[0] < p[1]
+                             for p in pairs)
+        assert len(set(pairs)) == len(pairs)
+        random.Random(1).shuffle(ids)
+        assert block_candidates(ds, ids, c) == pairs
+        assert block_candidates(ds, set(ids), c) == pairs
 
 
 def test_bootstrap_default_singletons(corpus_ds):
@@ -90,7 +113,7 @@ def _recount(ds, state, cid):
     members' hyper-edges once, the cluster's own label left out."""
     edges = {ds.references[rid].edge for rid in state.members[cid]}
     return Counter(state.labels[other] for hid in edges
-                   for other in ds.hyperedges[hid].refs
+                   for other in ds.hyperedges[hid]
                    if state.labels[other] != cid)
 
 
@@ -194,8 +217,7 @@ def _naive_rcer(ds, ref_ids, cfg):
     ctx = SimilarityContext(ds, cfg)
     state = ClusterState(ds, ctx, [[r] for r in ref_ids])
     cand = set()
-    for pair in block_candidates(ds, ref_ids, ctx):
-        a, b = tuple(pair)
+    for a, b in block_candidates(ds, ref_ids, ctx):
         ca, cb = state.labels[a], state.labels[b]
         if ca != cb:
             cand.add(frozenset((ca, cb)))

@@ -10,11 +10,12 @@ import os
 import random
 import subprocess
 import sys
+from functools import cached_property
 from pathlib import Path
 
 import pytest
 
-from qer.corpus import Query, ingest
+from qer.corpus import Dataset, Query, ingest
 from qer.expansion import ExpansionParams
 from qer.rcer import resolve
 from qer.similarity import SimilarityConfig
@@ -80,6 +81,23 @@ def test_checks_find_no_error(answers):
         assert checks.is_partition_of(a.groups(), levels[0]), value
         assert not errs, (kind, value, errs)
     assert cut > 0
+
+
+def test_a_query_builds_the_name_index_once(monkeypatch):
+    builds = []
+    build = Dataset.name_index.func
+    counted = cached_property(lambda ds: builds.append(1) or build(ds))
+    counted.__set_name__(Dataset, "name_index")
+    monkeypatch.setattr(Dataset, "name_index", counted)
+    ds = ingest(RECORDS)
+    assert builds == []
+    resolve(ds, Query(QUERIES[0]), PARAMS["adaptive"], CFG)
+    assert builds == [1]
+    names = {}
+    for r in ds.references.values():
+        names.setdefault(r.norm_name, []).append(r.id)
+    assert ds.name_index == {n: tuple(ids) for n, ids in names.items()}
+    assert builds == [1]
 
 
 def test_record_order_does_not_change_answers(answers):
