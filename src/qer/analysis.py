@@ -123,9 +123,9 @@ def predict_recall(probs: StructuralProbs, entity: str, depth: int) -> float:
     attribute alone, or through identifying relationships with neighbors
     that have themselves resolved one level shallower."""
     a = probs.a_i.get(entity, 0.0)
-    if depth <= 0:
-        return a
     r = probs.r_i.get(entity, 0.0)
+    if depth <= 0 or r == 0:  # a + (1 - a) * 0 * nbr_term is a
+        return a
     weights = probs.neighbor_weights.get(entity, {})
     nbr_term = sum(p * predict_recall(probs, n, depth - 1)
                    for n, p in weights.items())
@@ -135,9 +135,9 @@ def predict_recall(probs: StructuralProbs, entity: str, depth: int) -> float:
 def predict_imprecision(probs: StructuralProbs, e1: str, e2: str,
                         depth: int) -> float:
     a = probs.a_a.get(_pair_key(e1, e2), 0.0)
-    if depth <= 0:
-        return a
     r = probs.r_a.get(_pair_key(e1, e2), 0.0)
+    if depth <= 0 or r == 0:  # no sum over neighbor pairs: see predict_recall
+        return a
     w1 = probs.neighbor_weights.get(e1, {})
     w2 = probs.neighbor_weights.get(e2, {})
     nbr_term = sum(

@@ -17,9 +17,13 @@ when ck neighbored both a and b.  Every other pair keeps its queued score:
 neighbors are symmetric, so cn neighbored neither a nor b and the two
 clusters' common labels are unchanged; under multiset semantics ck's counts
 only move from a and b to ``new``, and under set semantics ck swapped one
-label for another, so their union is unchanged too.  A queued entry left in
-place pops exactly where its re-push would have popped, since the version
-field never orders two valid entries.
+label for another, so their union is unchanged too.  So the newest entry
+(-score, a, b) of a live pair holds its current score, and a popped entry is
+live when both clusters are live and their score still equals it; of two
+entries with that score, the second to pop finds the pair merged.  A refresh
+only raises a queued score under multiset semantics, so an outdated entry
+pops after the merge anyway; under set semantics two clusters that lose a
+shared label can score lower, and only the score check turns that entry away.
 """
 
 from __future__ import annotations
@@ -103,15 +107,14 @@ class ClusterState:
         self.members: dict[int, set[str]] = {}
         self.labels: dict[str, int] = {}
         self.reps: dict[int, dict[str, str | None]] = {}
-        self.nbr: dict[int, Counter] = {}
         self.next_id = len(initial)
         for cid, group in enumerate(initial):
             self.members[cid] = set(group)
             for rid in group:
                 self.labels[rid] = cid
             self.reps[cid] = ctx.representatives(self.members[cid])
-        for cid in self.members:
-            self.nbr[cid] = self._compute_nbr(cid)
+        self.nbr: dict[int, Counter] = {cid: self._compute_nbr(cid)
+                                        for cid in self.members}
 
     def _compute_nbr(self, cid: int) -> Counter:
         """Labels of the cluster members' co-occurrence partners, its own
@@ -185,13 +188,10 @@ def run_rcer(ds: Dataset, refs, cfg: SimilarityConfig,
             cand[cb].add(ca)
 
     heap: list[tuple] = []
-    version: dict[tuple, int] = {}
 
     def push(c1: int, c2: int):
         a, b = (c1, c2) if c1 < c2 else (c2, c1)
-        v = version.get((a, b), 0) + 1
-        version[(a, b)] = v
-        heapq.heappush(heap, (-state.combined(a, b), a, b, v))
+        heapq.heappush(heap, (-state.combined(a, b), a, b))
 
     for c1 in sorted(cand):
         for c2 in cand[c1]:
@@ -202,25 +202,23 @@ def run_rcer(ds: Dataset, refs, cfg: SimilarityConfig,
     stopped_reason = "exhausted"
     stale_pops = 0
     while heap:
-        neg, a, b, v = heapq.heappop(heap)
+        neg, a, b = heapq.heappop(heap)
         if (a not in state.members or b not in state.members
-                or version.get((a, b)) != v):
+                or state.combined(a, b) != -neg):  # see the module docstring
             stale_pops += 1
             continue
         sim = -neg
         if sim < cfg.merge_threshold:
             stopped_reason = "threshold"
             break
-        # under set semantics a cluster that neighbored both a and b loses
-        # one neighbor label, so its union with every partner shrinks
+        # under set semantics, clusters that lose a neighbor label
         lost = set() if cfg.multiset_neighborhood \
             else state.nbr[a].keys() & state.nbr[b].keys()
         new = state.merge(a, b)
         merge_log.append((sim, a, b, new))
         cand[new] = (cand.pop(a) | cand.pop(b)) - {a, b}
         for p in cand[new]:
-            cand[p].discard(a)
-            cand[p].discard(b)
+            cand[p].difference_update((a, b))
             cand[p].add(new)
             push(new, p)
         # refresh rule (module docstring): only the neighbors of new changed
@@ -244,7 +242,8 @@ def run_rcer(ds: Dataset, refs, cfg: SimilarityConfig,
         stopped_reason=stopped_reason,
         merge_threshold=cfg.merge_threshold,
         initial_clusters=initial,
-        heap_pushes=sum(version.values()),  # each push bumps one version
+        heap_pushes=(len(merge_log) + (stopped_reason == "threshold")
+                     + stale_pops + len(heap)),  # popped or still queued
         stale_pops=stale_pops,
     )
 

@@ -206,7 +206,7 @@ def delta_neighbours(name: str, buckets, numeric: bool = False,
 
 class SimilarityContext:
     """Reads the dataset's corpus statistics (``Dataset.corpus_stats``,
-    built once per dataset) and caches pairwise name scores per run."""
+    built once per dataset) and caches pairwise text name scores per run."""
 
     def __init__(self, ds: Dataset, cfg: SimilarityConfig):
         self.ds = ds
@@ -216,14 +216,14 @@ class SimilarityContext:
         self._name_cache: dict[tuple[str, str], float] = {}
 
     def name_sim(self, n1: str, n2: str) -> float:
-        """``name_sim`` of two normalized names, cached per pair."""
+        """``name_sim`` of two normalized names; text ones cached per pair."""
         if n1 == n2:
             return 1.0
+        if self.numeric:
+            return name_sim(n1, n2, None, numeric=True)
         key = (n1, n2) if n1 < n2 else (n2, n1)
-        cached = self._name_cache.get(key)
-        if cached is None:
-            cached = name_sim(n1, n2, self.stats, numeric=self.numeric)
-            self._name_cache[key] = cached
+        if (cached := self._name_cache.get(key)) is None:
+            cached = self._name_cache[key] = name_sim(n1, n2, self.stats)
         return cached
 
     def delta_similar(self, n1: str, n2: str) -> bool:

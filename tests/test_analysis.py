@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +19,7 @@ from qer.analysis import (
 )
 from qer.corpus import GoldLabeling, ingest
 from qer.similarity import SimilarityConfig, SimilarityContext
-from qer import synthgen
+from qer import analysis, synthgen
 
 
 def test_attribute_probs_running_example(corpus_ds, corpus_gold, text_cfg):
@@ -180,3 +181,63 @@ def test_prediction_table_format(corpus_ds, corpus_gold, text_cfg):
     lines = table.splitlines()
     assert lines[0].split("\t") == ["entity", "depth", "predicted_recall"]
     assert len(lines) == 1 + len(probs.a_i)
+
+
+def _full_recall(probs, e, depth, calls):
+    """``predict_recall`` summing over the neighbors at every level."""
+    calls["predict_recall"] += 1
+    a = probs.a_i.get(e, 0.0)
+    if depth <= 0:
+        return a
+    nbr_term = sum(p * _full_recall(probs, n, depth - 1, calls)
+                   for n, p in probs.neighbor_weights.get(e, {}).items())
+    return a + (1 - a) * probs.r_i.get(e, 0.0) * nbr_term
+
+
+def _full_imprecision(probs, e1, e2, depth, calls):
+    calls["predict_imprecision"] += 1
+    key = tuple(sorted((e1, e2)))
+    a = probs.a_a.get(key, 0.0)
+    if depth <= 0:
+        return a
+    w1 = probs.neighbor_weights.get(e1, {})
+    w2 = probs.neighbor_weights.get(e2, {})
+    nbr_term = sum(p1 * p2 * _full_imprecision(probs, n1, n2, depth - 1, calls)
+                   for n1, p1 in w1.items() for n2, p2 in w2.items())
+    return a + (1 - a) * probs.r_a.get(key, 0.0) * nbr_term
+
+
+def test_predictions_skip_the_neighbor_sum_where_r_is_zero(monkeypatch):
+    """Exactly the full sums, since a + (1 - a) * 0 * x is a, with fewer
+    recursive calls: none below an entity (pair) whose r is 0."""
+    out = synthgen.generate(synthgen.GenParams(
+        n_entities=12, n_relationships=18, n_hyperedges=24, p_a=0.5,
+        p_r_a=0.5, p_c=0.5, seed=1))
+    probs = estimate_structural_probs(out.dataset, out.gold, SimilarityConfig(
+        alpha=0.5, epsilon=0.8, delta=0.7, merge_threshold=0.3))
+    assert {v == 0 for v in probs.r_i.values()} == {True, False}
+    assert {v == 0 for v in probs.r_a.values()} == {True, False}
+    calls = Counter()
+    for fn in (predict_recall, predict_imprecision):
+        def counted(*args, fn=fn):
+            calls[fn.__name__] += 1
+            return fn(*args)
+        monkeypatch.setattr(analysis, fn.__name__, counted)
+    for depth in range(4):
+        calls.clear()
+        full = Counter()
+        for e in sorted(probs.neighbor_weights):
+            before = calls["predict_recall"]
+            assert analysis.predict_recall(probs, e, depth) == \
+                _full_recall(probs, e, depth, full)
+            if depth and probs.r_i.get(e, 0.0) == 0:
+                assert calls["predict_recall"] - before == 1
+        for e1, e2 in sorted(probs.r_a):
+            before = calls["predict_imprecision"]
+            assert analysis.predict_imprecision(probs, e1, e2, depth) == \
+                _full_imprecision(probs, e1, e2, depth, full)
+            if depth and probs.r_a[(e1, e2)] == 0:
+                assert calls["predict_imprecision"] - before == 1
+        if depth:
+            assert calls["predict_recall"] < full["predict_recall"]
+            assert calls["predict_imprecision"] < full["predict_imprecision"]

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import heapq
 import itertools
 import random
@@ -360,14 +361,53 @@ def test_threshold_replay_equals_fresh_run(seed):
         assert replayed == set(fresh.clusters)
 
 
-def test_replays_copy_only_the_clusters_they_merge():
-    # the bench's numeric corpus and sweep: 2.9 MB for the 21 partitions
-    # on CPython 3.11 (11.6 MB when each replay copied every cluster)
-    ds = synthgen.generate(synthgen.GenParams(
+@pytest.fixture(scope="module")
+def bench_numeric_ds():
+    """The bench's numeric corpus: 3,701 references."""
+    return synthgen.generate(synthgen.GenParams(
         n_entities=400, n_relationships=800, n_hyperedges=2000, p_a=0.1,
         p_r_a=0.3, p_c=0.5, p_r=1.0, seed=1000)).dataset
-    result = run_rcer(ds, ds.references, SimilarityConfig(
-        alpha=0.5, epsilon=0.9, delta=0.7, merge_threshold=0.0))
+
+
+BENCH_NUMERIC_CFG = SimilarityConfig(alpha=0.5, epsilon=0.9, delta=0.7,
+                                     merge_threshold=0.0)
+
+
+@pytest.mark.parametrize("multiset, digest", [
+    (False, "7a1feaa9fc2ab709f3b37cd6cd08bc8935cac4fa7fcc61542535d111288fda9e"),
+    (True, "e34dc9133c94b14d4306a1fff15c5b7a7fbb2712ac26b97d6a43f8b2f2aa9709"),
+], ids=["set", "multiset"])
+def test_bench_numeric_merge_log_is_pinned(bench_numeric_ds, multiset, digest):
+    """The merge log on the bench's numeric corpus, similarities bit for
+    bit, as recorded by the loop that kept a version per queued pair: the
+    naive oracles' exact check at 3,701 references."""
+    log = run_rcer(bench_numeric_ds, bench_numeric_ds.references,
+                   replace(BENCH_NUMERIC_CFG,
+                           multiset_neighborhood=multiset)).merge_log
+    assert len(log) == 3323
+    text = repr([(sim.hex(), a, b, new) for sim, a, b, new in log])
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_run_on_the_bench_corpus_peaks_under_11_mb(bench_numeric_ds):
+    # traced peak on CPython 3.11: 8.9 MB (13.6 MB with a version entry
+    # per queued pair and a cache of numeric name scores)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        run_rcer(bench_numeric_ds, bench_numeric_ds.references,
+                 BENCH_NUMERIC_CFG)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 11_000_000, peak
+
+
+def test_replays_copy_only_the_clusters_they_merge(bench_numeric_ds):
+    # the bench's numeric corpus and sweep: 2.9 MB for the 21 partitions
+    # on CPython 3.11 (11.6 MB when each replay copied every cluster)
+    ds = bench_numeric_ds
+    result = run_rcer(ds, ds.references, BENCH_NUMERIC_CFG)
     gc.collect()
     tracemalloc.start()
     try:

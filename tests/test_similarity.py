@@ -207,6 +207,23 @@ def test_numeric_sim():
     assert numeric_sim(0.0, 100.0) == 0.0
 
 
+NUMERIC_CTX = SimilarityContext(
+    ingest([{"pub_id": "p", "authors": ["1.0"]}], name_mode="numeric"),
+    SimilarityConfig(alpha=0.5, epsilon=0.8, delta=0.7, merge_threshold=0.3))
+numeric_names = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10, 10).map(str))
+
+
+@given(numeric_names, numeric_names)
+def test_numeric_name_sim_is_numeric_sim(a, b):
+    s = NUMERIC_CTX.name_sim(a, b)
+    assert s == numeric_sim(float(a), float(b))
+    assert s == NUMERIC_CTX.name_sim(b, a)
+    assert NUMERIC_CTX.name_sim(a, a) == 1.0
+    assert not NUMERIC_CTX._name_cache  # scores are computed, not cached
+
+
 def test_delta_rule_text():
     assert delta_similar_names("w wang", "w w wang")
     assert delta_similar_names("w wang", "w wong")
